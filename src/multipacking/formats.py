@@ -1,8 +1,10 @@
 """Text file formats: edge lists, hitting-set instances, vertex sets.
 
 Graph format: header line "n m", then m lines "u v" with 0 <= u,v < n and
-u != v; '#' starts a comment line.  Hitting-set format: header "n m k",
-then m lines "s a_1 ... a_s".  Set format: a size line, then the members.
+u != v; '#' starts a comment line.  A header with n above MAX_VERTICES or
+m above n(n-1)/2 is rejected before anything is allocated.  Hitting-set
+format: header "n m k", then m lines "s a_1 ... a_s".  Set format: a size
+line, then the members.
 Serialization of a canonically parsed file is byte-identical to the input.
 """
 
@@ -10,6 +12,9 @@ from __future__ import annotations
 
 from .graph import Graph
 from .reductions import HittingSetInstance
+
+
+MAX_VERTICES = 100_000  # largest n a graph header may declare
 
 
 class InputError(ValueError):
@@ -42,6 +47,10 @@ def parse_graph(text: str) -> Graph:
     except StopIteration:
         raise InputError("empty graph file")
     n, m = _ints(header, lineno, expect=2)
+    if n > MAX_VERTICES:
+        raise InputError(f"line {lineno}: {n} vertices exceed the cap {MAX_VERTICES}")
+    if m > n * (n - 1) // 2:
+        raise InputError(f"line {lineno}: {m} edges exceed n(n-1)/2 for n={n}")
     edges = []
     for lineno, line in lines:
         u, v = _ints(line, lineno, expect=2)

@@ -6,14 +6,24 @@ family of vertex sets guaranteed to contain every multipacking of T, filter
 the family against G's metric, and keep the best survivor.  The simple
 recursion gives an O*(1.62^n) family; the gadget-aware recursion gives
 O*(1.58^n).
+
+The filter tests each set against ball bitmasks of G precomputed once per
+component (``ball_masks``, ``fits_balls``).  It shares no code with
+``multipacking.oracle``, so comparing the solvers with the oracle compares
+two independent multipacking checkers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable, NamedTuple
 
-from .graph import Graph, all_pairs, connected_components, induced_subgraph
-from .oracle import is_multipacking, pick_best
+from .graph import (
+    DistanceMatrix,
+    Graph,
+    all_pairs,
+    connected_components,
+    induced_subgraph,
+)
 from .rooted_tree import (
     RootedTree,
     bfs_tree,
@@ -118,14 +128,82 @@ def candidate_family_162(t: RootedTree) -> Family:
     return with_w | candidate_family_162(t.remove_leaf(w))
 
 
+class BallMasks(NamedTuple):
+    """The balls of a connected graph that decide whether a set is a multipacking.
+
+    Vertex sets are int bitmasks (bit v for vertex v).  ``near[u]`` is
+    N_2[u] without u; ``maximal[r]`` holds the inclusion-maximal balls N_r[v]
+    for 2 <= r < rad, and is empty for other r.
+    """
+
+    rad: int
+    near: tuple[int, ...]
+    maximal: tuple[tuple[int, ...], ...]
+
+
+def ball_masks(D: DistanceMatrix) -> BallMasks:
+    """Ball bitmasks of the connected graph with distance matrix D."""
+    rows = []  # rows[v][r] = N_r[v] for r = 0..ecc(v)
+    for v in range(D.n):
+        dist = D[v]
+        row = [0] * (max(dist) + 1)
+        for u, d in enumerate(dist):
+            row[d] |= 1 << u
+        for r in range(1, len(row)):
+            row[r] |= row[r - 1]
+        rows.append(row)
+    rad = min(len(row) for row in rows) - 1
+    # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
+    near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
+    maximal: list[tuple[int, ...]] = [()] * max(rad, 2)
+    for r in range(2, rad):
+        balls = {row[r] for row in rows}
+        maximal[r] = tuple(b for b in balls if not any(b != c and b & c == b for c in balls))
+    return BallMasks(rad, near, tuple(maximal))
+
+
+def fits_balls(balls: BallMasks, members: Collection[int]) -> bool:
+    """True iff ``members`` is a multipacking of the graph ``balls`` describes.
+
+    |N_r[v] ∩ M| <= r is checked as follows.  A set larger than rad fails at
+    the center, whose radius-rad ball is the whole graph; radii r >= |M| are
+    vacuous.  r = 1 holds iff no two members are within distance 2.  For
+    2 <= r < |M| a ball inside another ball of the same radius holds no more
+    members, so only the maximal balls are counted.
+    """
+    k = len(members)
+    if k <= 1:
+        return True
+    if k > balls.rad:
+        return False
+    mask = 0
+    for u in members:
+        mask |= 1 << u
+    near = balls.near
+    for u in members:
+        if near[u] & mask:
+            return False
+    maximal = balls.maximal
+    for r in range(2, k):
+        for b in maximal[r]:
+            if (b & mask).bit_count() > r:
+                return False
+    return True
+
+
 def _solve_component(
     g: Graph, family_fn: Callable[[RootedTree], Family]
 ) -> tuple[int, tuple[int, ...], int]:
-    D = all_pairs(g)
-    t = bfs_tree(g, 0)
-    fam = family_fn(t)
-    survivors = [s for s in fam if is_multipacking(g, D, sorted(s))]
-    size, witness = pick_best(survivors)
+    balls = ball_masks(all_pairs(g))
+    fam = family_fn(bfs_tree(g, 0))
+    size = 0
+    largest: list[frozenset[int]] = []  # survivors of the largest size so far
+    for s in fam:
+        if len(s) >= size and fits_balls(balls, s):
+            if len(s) > size:
+                size, largest = len(s), []
+            largest.append(s)
+    witness = min(tuple(sorted(s)) for s in largest)
     return size, witness, len(fam)
 
 

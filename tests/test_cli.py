@@ -4,7 +4,7 @@ import pytest
 
 from conftest import cycle, path
 from multipacking.cli import main
-from multipacking.formats import serialize_graph, serialize_vertex_set
+from multipacking.formats import MAX_VERTICES, serialize_graph, serialize_vertex_set
 
 
 @pytest.fixture
@@ -48,6 +48,15 @@ def test_solve_malformed(tmp_path, capsys):
     with pytest.raises(SystemExit) as e:
         main(["solve", str(f)])
     assert e.value.code == 3
+
+
+def test_solve_rejects_oversized_header(tmp_path, capsys):
+    f = tmp_path / "huge.graph"
+    f.write_text(f"{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(SystemExit) as e:
+        main(["solve", str(f)])
+    assert e.value.code == 3
+    assert "exceed the cap" in capsys.readouterr().err
 
 
 def test_verify(p4_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import path
 from multipacking.formats import (
+    MAX_VERTICES,
     InputError,
     parse_graph,
     parse_hitting_set,
@@ -40,6 +41,16 @@ def test_graph_errors_carry_line_numbers():
         parse_graph("3 2\n0 1\n")
     with pytest.raises(InputError):
         parse_graph("2 2\n0 1\n1 0\n")  # duplicate edge
+
+
+def test_graph_header_caps():
+    with pytest.raises(InputError, match="line 1: .* exceed the cap"):
+        parse_graph(f"{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(InputError, match="line 2: 4 edges exceed n\\(n-1\\)/2"):
+        parse_graph("# K3 plus one\n3 4\n0 1\n1 2\n0 2\n1 0\n")
+    with pytest.raises(InputError, match="duplicate edge"):
+        parse_graph("3 2\n0 1\n1 0\n")
+    assert parse_graph("3 3\n0 1\n1 2\n0 2\n").num_edges() == 3
 
 
 def test_hitting_set_round_trip():

@@ -3,15 +3,21 @@ import random
 import pytest
 
 from conftest import cycle, path, star, tree_catalog
-from multipacking.graph import Graph
-from multipacking.oracle import brute_force_mp, enumerate_multipackings
+from multipacking.graph import Graph, all_pairs
+from multipacking.oracle import (
+    brute_force_mp,
+    enumerate_multipackings,
+    is_multipacking,
+)
 from multipacking.randgen import random_connected_graph, random_tree
 from multipacking.rooted_tree import RootedTree, bfs_tree
 from multipacking.solver import (
+    ball_masks,
     candidate_family,
     candidate_family_162,
     enumerate_h1,
     enumerate_h2,
+    fits_balls,
     h2_roles,
     max_multipacking_158,
     max_multipacking_162,
@@ -129,3 +135,55 @@ def test_family_size_reported():
     _, _, fam158 = solve_detailed(g, candidate_family)
     _, _, fam162 = solve_detailed(g, candidate_family_162)
     assert fam158 >= 1 and fam162 >= 1
+
+
+def _subsets(n: int):
+    return (tuple(v for v in range(n) if bits >> v & 1) for bits in range(1 << n))
+
+
+def _assert_mask_check_agrees(g: Graph, subsets) -> None:
+    D = all_pairs(g)
+    balls = ball_masks(D)
+    for m in subsets:
+        assert fits_balls(balls, m) == is_multipacking(g, D, m), m
+
+
+def test_mask_check_matches_oracle_on_all_subsets_of_trees(trees_up_to_9):
+    for g in trees_up_to_9:
+        _assert_mask_check_agrees(g, _subsets(g.n))
+
+
+def test_mask_check_matches_oracle_on_random_graphs():
+    rng = random.Random(59)
+    for _ in range(80):
+        n = rng.randint(2, 24)
+        g = random_connected_graph(n, rng, rng.choice((0.3, 0.05, 1 / n)))
+        D = all_pairs(g)
+        subsets = []
+        for _ in range(30):
+            p = rng.choice((0.15, 0.3, 0.5))
+            subsets.append(tuple(v for v in range(g.n) if rng.random() < p))
+            # members pairwise >= 3 apart pass radius 1, so radii >= 2 decide
+            spread: list[int] = []
+            for v in rng.sample(range(g.n), g.n):
+                if all(D[v][u] >= 3 for u in spread):
+                    spread.append(v)
+            subsets.append(tuple(spread))
+        _assert_mask_check_agrees(g, subsets)
+
+
+def test_mask_check_on_one_and_two_vertex_components():
+    # Some ball rows here stop before radius 2, at the vertex's eccentricity.
+    for g in (Graph.from_edges(1, []), path(2), path(3)):
+        _assert_mask_check_agrees(g, _subsets(g.n))
+    assert ball_masks(all_pairs(path(2))).rad == 1
+
+
+def test_solve_detailed_on_small_components():
+    # K1 + K2 + P4 on ids 0 | 1-2 | 3-4-5-6
+    g = Graph.from_edges(7, [(1, 2), (3, 4), (4, 5), (5, 6)])
+    expected = brute_force_mp(g)
+    assert expected == (4, (0, 1, 3, 6))
+    for family_fn in (candidate_family, candidate_family_162):
+        size, witness, _ = solve_detailed(g, family_fn)
+        assert (size, witness) == expected
