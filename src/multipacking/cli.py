@@ -43,14 +43,8 @@ def cmd_solve(args) -> int:
     family_size = None
     if args.algo == "brute":
         size, witness = brute_force_mp(g)
-    elif args.algo == "a162":
-        size, witness, family_size = solver.solve_detailed(
-            g, solver.candidate_family_162
-        )
     else:
-        size, witness, family_size = solver.solve_detailed(
-            g, solver.candidate_family
-        )
+        size, witness, family_size = solver.solve_detailed(g, args.algo)
     elapsed = time.perf_counter() - t0
     if args.json:
         print(
@@ -210,9 +204,10 @@ def cmd_bench(args) -> int:
     for _ in range(args.trees):
         n = rng.randint(2, args.max_n)
         tree = randgen.random_tree(n, rng)
-        fam = solver.candidate_family(bfs_tree(tree, 0))
-        growth = len(fam) ** (1.0 / n)
-        print(f"{n},{len(fam)},{growth:.6f}")
+        near = solver.ball_masks(all_pairs(tree)).near
+        _, size = solver.family_packings(bfs_tree(tree, 0), solver.split_158, near)
+        growth = size ** (1.0 / n)
+        print(f"{n},{size},{growth:.6f}")
     return 0
 
 

@@ -3,8 +3,10 @@
 Graph format: header line "n m", then m lines "u v" with 0 <= u,v < n and
 u != v; '#' starts a comment line.  A header with n above MAX_VERTICES or
 m above n(n-1)/2 is rejected before anything is allocated.  Hitting-set
-format: header "n m k", then m lines "s a_1 ... a_s".  Set format: a size
-line, then the members.
+format: header "n m k", then m lines "s a_1 ... a_s"; a header with
+m + n*k above MAX_VERTICES is rejected before the family is read, since a
+reduction lays out m family vertices plus n element paths of up to k - 1
+vertices each.  Set format: a size line, then the members.
 Serialization of a canonically parsed file is byte-identical to the input.
 """
 
@@ -14,7 +16,7 @@ from .graph import Graph
 from .reductions import HittingSetInstance
 
 
-MAX_VERTICES = 100_000  # largest n a graph header may declare
+MAX_VERTICES = 100_000  # largest n a graph header may declare, and m + n*k a Hitting-Set one
 
 
 class InputError(ValueError):
@@ -80,6 +82,10 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
     except StopIteration:
         raise InputError("empty hitting-set file")
     n, m, k = _ints(header, lineno, expect=3)
+    if m + n * k > MAX_VERTICES:
+        raise InputError(
+            f"line {lineno}: m + n*k = {m + n * k} exceeds the cap {MAX_VERTICES}"
+        )
     family = []
     for lineno, line in lines:
         vals = _ints(line, lineno)

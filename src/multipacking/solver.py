@@ -1,21 +1,27 @@
 """Exact maximum-multipacking solvers via candidate families over BFS trees.
 
 Every multipacking of a connected graph G is a multipacking of any spanning
-tree T (tree distances dominate graph distances).  Both solvers build a
-family of vertex sets guaranteed to contain every multipacking of T, filter
-the family against G's metric, and keep the best survivor.  The simple
-recursion gives an O*(1.62^n) family; the gadget-aware recursion gives
-O*(1.58^n).
+tree T (tree distances dominate graph distances).  Both solvers branch over
+T to get a family of vertex sets guaranteed to contain every multipacking
+of T, and keep the best member that is a multipacking of G.  The simple
+rule (``split_162``) gives an O*(1.62^n) family; the gadget-aware rule
+(``split_158``) gives O*(1.58^n).
 
-The filter tests each set against ball bitmasks of G precomputed once per
-component (``ball_masks``, ``fits_balls``).  It shares no code with
-``multipacking.oracle``, so comparing the solvers with the oracle compares
-two independent multipacking checkers.
+The solve (``solve_detailed``) builds the family as int bitmasks with
+``family_packings``, which drops every set with two vertices within
+distance 2 of G while it builds, and counts the full unpruned family size
+without materialising it.  The survivors are checked against ball bitmasks
+of G precomputed once per component (``ball_masks``, ``fits_balls``), which
+share no code with ``multipacking.oracle``, so comparing the solvers with
+the oracle compares two independent multipacking checkers.
+``candidate_family`` and ``candidate_family_162`` build the unpruned
+families as ``frozenset``s and are the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import (
     DistanceMatrix,
@@ -82,50 +88,105 @@ def enumerate_h2(t: RootedTree, u: int) -> Family:
     return fam
 
 
-def candidate_family(t: RootedTree) -> Family:
-    """Superset of all multipackings of t, of size O(1.58^n).
+Step = Optional[tuple[Optional[int], int]]  # None at the base case, else (w, top)
+Split = Callable[[RootedTree], Step]
 
+
+def split_158(t: RootedTree) -> Step:
+    """The O(1.58^n) branching rule: ``None`` at height <= 1, else ``(w, top)``.
+
+    The family is "sets with w over t - subtree(top), plus sets over t - w".
     Height >= 2 branches, tried in order for the deepest vertices w:
-    (a) the parent subtree is a star with k >= 2 leaves: branch on w in/out;
-    (b) the grandparent subtree is a bare 3-vertex leg: branch on w in/out;
-    (c) otherwise the grandparent subtree of the smallest-id deepest vertex
-        is a spider, whose multipackings are enumerated in closed form and
-        combined with the family of the rest of the tree.
+    (a) the parent subtree is a star with k >= 2 leaves: top is the parent;
+    (b) the grandparent subtree is a bare 3-vertex leg: top is the grandparent;
+    (c) otherwise the grandparent of the smallest-id deepest vertex roots a
+        spider, returned as ``(None, top)``: its multipackings, enumerated in
+        closed form, are combined with the family of t - subtree(top).
     """
-    if t.is_empty():
-        return {frozenset()}
     if t.height <= 1:
-        return enumerate_h1(t.vertices())
+        return None
     deepest = deepest_vertices(t)
     for w in deepest:
         w1 = t.parent[w]
         shape = classify_subtree(t, w1)
         if shape.kind == "H1" and shape.k >= 2:
-            with_w = {m | {w} for m in candidate_family(t.remove_subtree(w1))}
-            return with_w | candidate_family(t.remove_leaf(w))
+            return w, w1
     for w in deepest:
         w2 = t.parent[t.parent[w]]
         shape = classify_subtree(t, w2)
         if shape.kind == "H2" and shape.k1 == 1 and shape.k2 == 0:
-            with_w = {m | {w} for m in candidate_family(t.remove_subtree(w2))}
-            return with_w | candidate_family(t.remove_leaf(w))
-    w = deepest[0]
-    w2 = t.parent[t.parent[w]]
-    spider = enumerate_h2(t, w2)
-    rest = candidate_family(t.remove_subtree(w2))
-    return {m1 | m2 for m1 in rest for m2 in spider}
+            return w, w2
+    return None, t.parent[t.parent[deepest[0]]]
+
+
+def split_162(t: RootedTree) -> Step:
+    """The Fibonacci rule: ``None`` for at most one vertex, else ``(w, parent(w))``
+    for the smallest-id deepest vertex w."""
+    if t.n <= 1:
+        return None
+    w = deepest_vertices(t)[0]
+    return w, t.parent[w]
+
+
+def _reference_family(
+    t: RootedTree, split: Split, recurse: Callable[[RootedTree], Family]
+) -> Family:
+    step = split(t)
+    if step is None:
+        return enumerate_h1(t.vertices())
+    w, top = step
+    rest = recurse(t.remove_subtree(top))
+    if w is None:
+        spider = enumerate_h2(t, top)
+        return {m1 | m2 for m1 in rest for m2 in spider}
+    return {m | {w} for m in rest} | recurse(t.remove_leaf(w))
+
+
+def candidate_family(t: RootedTree) -> Family:
+    """Superset of all multipackings of t, of size O(1.58^n) (rule ``split_158``).
+
+    The reference for ``family_packings``, which the solve uses instead.
+    """
+    return _reference_family(t, split_158, candidate_family)
 
 
 def candidate_family_162(t: RootedTree) -> Family:
-    """Superset of all multipackings of t via the simple Fibonacci recursion."""
-    if t.is_empty():
-        return {frozenset()}
-    if t.n == 1:
-        return {frozenset(), frozenset({t.root})}
-    w = deepest_vertices(t)[0]
-    y = t.parent[w]
-    with_w = {m | {w} for m in candidate_family_162(t.remove_subtree(y))}
-    return with_w | candidate_family_162(t.remove_leaf(w))
+    """Superset of all multipackings of t via the simple Fibonacci recursion
+    (rule ``split_162``); the reference for ``family_packings``."""
+    return _reference_family(t, split_162, candidate_family_162)
+
+
+def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[list[int], int]:
+    """The members of t's candidate family under ``split`` that have no two
+    vertices u, v with bit v in ``near[u]``, as bitmasks; and the size of the
+    whole family.  ``near`` must be symmetric and leave out u itself.
+
+    With ``near = ball_masks(D).near`` this keeps the family members with no
+    two vertices within distance 2 of G.  Pruning while building is sound:
+    the radius-1 ball around a middle vertex holds both, and no superset of a
+    pruned set is a multipacking either.  The count is exact without
+    materialising the family because the branches are disjoint.
+    """
+    step = split(t)
+    if step is None:
+        return [0] + [1 << v for v in t.vertices()], t.n + 1
+    w, top = step
+    rest, count = family_packings(t.remove_subtree(top), split, near)
+    if w is None:
+        spider = enumerate_h2(t, top)
+        blocks = []  # (mask, vertices near it) of each spider member kept
+        for m in spider:
+            mask = block = 0
+            for v in m:
+                mask |= 1 << v
+                block |= near[v]
+            if not mask & block:
+                blocks.append((mask, block))
+        kept = [m1 | m2 for m1 in rest for m2, block in blocks if not m1 & block]
+        return kept, count * len(spider)
+    bit, block = 1 << w, near[w]
+    without, count_without = family_packings(t.remove_leaf(w), split, near)
+    return [m | bit for m in rest if not m & block] + without, count + count_without
 
 
 class BallMasks(NamedTuple):
@@ -162,8 +223,8 @@ def ball_masks(D: DistanceMatrix) -> BallMasks:
     return BallMasks(rad, near, tuple(maximal))
 
 
-def fits_balls(balls: BallMasks, members: Collection[int]) -> bool:
-    """True iff ``members`` is a multipacking of the graph ``balls`` describes.
+def fits_balls(balls: BallMasks, mask: int) -> bool:
+    """True iff the vertex set ``mask`` is a multipacking of the graph ``balls`` describes.
 
     |N_r[v] ∩ M| <= r is checked as follows.  A set larger than rad fails at
     the center, whose radius-rad ball is the whole graph; radii r >= |M| are
@@ -171,18 +232,18 @@ def fits_balls(balls: BallMasks, members: Collection[int]) -> bool:
     2 <= r < |M| a ball inside another ball of the same radius holds no more
     members, so only the maximal balls are counted.
     """
-    k = len(members)
+    k = mask.bit_count()
     if k <= 1:
         return True
     if k > balls.rad:
         return False
-    mask = 0
-    for u in members:
-        mask |= 1 << u
     near = balls.near
-    for u in members:
-        if near[u] & mask:
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if near[low.bit_length() - 1] & mask:
             return False
+        rest ^= low
     maximal = balls.maximal
     for r in range(2, k):
         for b in maximal[r]:
@@ -191,36 +252,46 @@ def fits_balls(balls: BallMasks, members: Collection[int]) -> bool:
     return True
 
 
-def _solve_component(
-    g: Graph, family_fn: Callable[[RootedTree], Family]
-) -> tuple[int, tuple[int, ...], int]:
+_SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]:
     balls = ball_masks(all_pairs(g))
-    fam = family_fn(bfs_tree(g, 0))
+    packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
     size = 0
-    largest: list[frozenset[int]] = []  # survivors of the largest size so far
-    for s in fam:
-        if len(s) >= size and fits_balls(balls, s):
-            if len(s) > size:
-                size, largest = len(s), []
-            largest.append(s)
-    witness = min(tuple(sorted(s)) for s in largest)
-    return size, witness, len(fam)
+    largest: list[int] = []  # survivors of the largest size so far
+    for m in packings:
+        k = m.bit_count()
+        if k >= size and fits_balls(balls, m):
+            if k > size:
+                size, largest = k, []
+            largest.append(m)
+    witness = min(_members(m) for m in largest)
+    return size, witness, family_size
 
 
-def solve_detailed(
-    g: Graph, family_fn: Callable[[RootedTree], Family]
-) -> tuple[int, tuple[int, ...], int]:
-    """(MP, witness, total family size), decomposed per connected component.
+def solve_detailed(g: Graph, algo: str) -> tuple[int, tuple[int, ...], int]:
+    """(MP, witness, total candidate-family size) of g with algorithm
+    ``"a158"`` (O*(1.58^n)) or ``"a162"`` (O*(1.62^n)), per connected component.
 
+    Each component contributes the smallest sorted member tuple among its
+    largest multipackings in the family; the witness is their sorted union.
+    The family size counts the whole unpruned family, which is never built.
     A set is a multipacking of a disconnected graph iff its restriction to
     each component is one, so per-component optima concatenate.
     """
+    if algo not in _SPLITS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(_SPLITS)}")
     total = 0
     witness: list[int] = []
     family_total = 0
     for comp in connected_components(g):
         sub, old_ids = induced_subgraph(g, comp)
-        size, local, fam_size = _solve_component(sub, family_fn)
+        size, local, fam_size = _solve_component(sub, _SPLITS[algo])
         total += size
         witness.extend(old_ids[v] for v in local)
         family_total += fam_size
@@ -228,10 +299,10 @@ def solve_detailed(
 
 
 def max_multipacking_158(g: Graph) -> tuple[int, tuple[int, ...]]:
-    size, witness, _ = solve_detailed(g, candidate_family)
+    size, witness, _ = solve_detailed(g, "a158")
     return size, witness
 
 
 def max_multipacking_162(g: Graph) -> tuple[int, tuple[int, ...]]:
-    size, witness, _ = solve_detailed(g, candidate_family_162)
+    size, witness, _ = solve_detailed(g, "a162")
     return size, witness

@@ -90,6 +90,16 @@ def test_reduce_hs_invalid_k(tmp_path, capsys):
     assert code == 3  # claw-free needs k >= 3
 
 
+def test_reduce_hs_rejects_oversized_header(tmp_path, capsys):
+    hs = tmp_path / "huge.hs"
+    hs.write_text("50001 0 2\n")  # m + n*k = 100002 > MAX_VERTICES
+    with pytest.raises(SystemExit) as e:
+        main(["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "x")])
+    assert e.value.code == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "x.graph").exists()
+
+
 def test_reduce_tds(tmp_path, p4_file, capsys):
     prefix = str(tmp_path / "conv")
     code, _ = run(capsys, "reduce", "tds", p4_file, "--variant", "conv", "-k", "3", "--out", prefix)

@@ -73,6 +73,17 @@ def test_hitting_set_errors():
         parse_hitting_set("3 1 1\n1 0\n")
 
 
+def test_hitting_set_header_cap():
+    # m + n*k = 100002: the smallest header over the cap, rejected at line 1
+    # before the family line (element out of range) is read
+    with pytest.raises(InputError, match="line 1: .* exceeds the cap"):
+        parse_hitting_set("50001 0 2\n")
+    with pytest.raises(InputError, match="line 1: .* exceeds the cap"):
+        parse_hitting_set("50001 1 2\n1 99999999\n")
+    assert MAX_VERTICES == 100_000
+    assert parse_hitting_set("50000 0 2\n").n == 50_000
+
+
 def test_vertex_set_round_trip():
     text = "3\n0\n2\n5\n"
     assert parse_vertex_set(text) == (0, 2, 5)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,11 +18,14 @@ from multipacking.solver import (
     candidate_family_162,
     enumerate_h1,
     enumerate_h2,
+    family_packings,
     fits_balls,
     h2_roles,
     max_multipacking_158,
     max_multipacking_162,
     solve_detailed,
+    split_158,
+    split_162,
 )
 from test_rooted_tree import chain, spider
 
@@ -123,17 +127,17 @@ def test_cross_component_additivity():
     two_p4 = Graph.from_edges(
         8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
     )
-    size, witness, _ = solve_detailed(two_p4, candidate_family)
+    size, witness, _ = solve_detailed(two_p4, "a158")
     assert size == 4 and witness == (0, 3, 4, 7)
     with_isolated = Graph.from_edges(3, [(0, 1)])
-    size, witness, _ = solve_detailed(with_isolated, candidate_family)
+    size, witness, _ = solve_detailed(with_isolated, "a158")
     assert size == 2 and witness == (0, 2)
 
 
 def test_family_size_reported():
     g = path(6)
-    _, _, fam158 = solve_detailed(g, candidate_family)
-    _, _, fam162 = solve_detailed(g, candidate_family_162)
+    _, _, fam158 = solve_detailed(g, "a158")
+    _, _, fam162 = solve_detailed(g, "a162")
     assert fam158 >= 1 and fam162 >= 1
 
 
@@ -145,7 +149,7 @@ def _assert_mask_check_agrees(g: Graph, subsets) -> None:
     D = all_pairs(g)
     balls = ball_masks(D)
     for m in subsets:
-        assert fits_balls(balls, m) == is_multipacking(g, D, m), m
+        assert fits_balls(balls, sum(1 << v for v in m)) == is_multipacking(g, D, m), m
 
 
 def test_mask_check_matches_oracle_on_all_subsets_of_trees(trees_up_to_9):
@@ -184,6 +188,56 @@ def test_solve_detailed_on_small_components():
     g = Graph.from_edges(7, [(1, 2), (3, 4), (4, 5), (5, 6)])
     expected = brute_force_mp(g)
     assert expected == (4, (0, 1, 3, 6))
-    for family_fn in (candidate_family, candidate_family_162):
-        size, witness, _ = solve_detailed(g, family_fn)
+    for algo in ("a158", "a162"):
+        size, witness, _ = solve_detailed(g, algo)
         assert (size, witness) == expected
+
+
+RULES = ((split_158, candidate_family), (split_162, candidate_family_162))
+
+
+def _as_masks(family) -> set[int]:
+    return {sum(1 << v for v in m) for m in family}
+
+
+def test_family_packings_unpruned_is_the_reference_family(trees_up_to_9):
+    rng = random.Random(61)
+    trees = trees_up_to_9 + [random_tree(rng.randint(2, 18), rng) for _ in range(40)]
+    for g in trees:
+        t = bfs_tree(g, 0)
+        for split, reference in RULES:
+            ref = reference(t)
+            masks, count = family_packings(t, split, [0] * g.n)
+            assert len(masks) == len(set(masks))
+            assert set(masks) == _as_masks(ref)
+            assert count == len(ref)
+
+
+def test_family_packings_drops_exactly_the_sets_with_close_pairs():
+    rng = random.Random(67)
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        g = random_connected_graph(n, rng, rng.choice((0.3, 0.1, 1 / n)))
+        D = all_pairs(g)
+        near = ball_masks(D).near
+        t = bfs_tree(g, 0)
+        for split, reference in RULES:
+            ref = reference(t)
+            spread = [m for m in ref if all(D[u][v] >= 3 for u, v in combinations(m, 2))]
+            masks, count = family_packings(t, split, near)
+            assert sorted(masks) == sorted(_as_masks(spread))
+            assert count == len(ref)
+
+
+def test_relabeling_keeps_mp_and_matches_oracle():
+    # A relabeled graph has another BFS tree, family and pruning.
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = random_connected_graph(n, rng, rng.choice((0.4, 0.15, 1 / n)))
+        perm = rng.sample(range(n), n)
+        h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        expected = brute_force_mp(h)
+        for algo in ("a158", "a162"):
+            assert solve_detailed(h, algo)[:2] == expected
+            assert solve_detailed(g, algo)[0] == expected[0]
