@@ -12,9 +12,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .checkers import regularity
 from .graph import Graph
+
+# Largest output a Hitting-Set reduction builds; each reduce_hs_* checks its
+# vertex and edge counts, computed from (n, m, k), before it allocates.
+MAX_OUTPUT_VERTICES = 100_000
+MAX_OUTPUT_EDGES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,15 @@ class ReductionOutput:
             raise ValueError("provenance labels must be unique")
 
 
+def _check_output_size(variant: str, vertices: int, edges: int) -> None:
+    """Raise ValueError when an output with at most these counts exceeds the caps."""
+    if vertices > MAX_OUTPUT_VERTICES or edges > MAX_OUTPUT_EDGES:
+        raise ValueError(
+            f"{variant} reduction would build {vertices} vertices and up to {edges} edges;"
+            f" the caps are {MAX_OUTPUT_VERTICES} and {MAX_OUTPUT_EDGES}"
+        )
+
+
 def _element_paths(n: int, length: int, base: int):
     """Row-major element-path block: element i gets vertices
     base + i*length + (j-1) for j = 1..length.  Returns (ids, path edges)."""
@@ -77,6 +92,7 @@ def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
     n, m, k = inst.n, inst.m, inst.k
     if k < 2:
         raise ValueError("chordal reduction needs k >= 2")
+    _check_output_size("chordal", m + n * (k - 1), comb(m, 2) + n * (k - 2) + n * m)
     edges = list(itertools.combinations(range(m), 2))
     paths, path_edges = _element_paths(n, k - 1, m)
     edges += path_edges
@@ -101,6 +117,10 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
     n, m, k = inst.n, inst.m, inst.k
     if k < 3:
         raise ValueError("half-hyperbolic reduction needs k >= 3")
+    y = comb(n, 2)
+    _check_output_size(
+        "half-hyperbolic", m + n * (k - 1) + y, n * (k - 2) + n * m + 2 * y + comb(m + y, 2)
+    )
     paths, edges = _element_paths(n, k - 1, m)
     for i in range(n):
         for j, S in enumerate(inst.family):
@@ -155,6 +175,7 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     n, m, k = inst.n, inst.m, inst.k
     if k < 2:
         raise ValueError("bipartite reduction needs k >= 2")
+    _check_output_size("bipartite", m + n * (k - 1) + 1, n * (k - 2) + n * m + m)
     join_all = k == 2 and not _hit_by_two(inst)
     paths, edges = _element_paths(n, k - 1, m)
     for i in range(n):
@@ -184,6 +205,11 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
     n, m, k = inst.n, inst.m, inst.k
     if k < 3:
         raise ValueError("claw-free reduction needs k >= 3")
+    w_max = n * m  # at most one w vertex per (set, element) pair
+    w_clique = m * comb(n, 2) + n * comb(m, 2)  # w pairs sharing a set or an element
+    _check_output_size(
+        "claw-free", m + n * (k - 2) + w_max, comb(m, 2) + n * (k - 3) + 2 * w_max + w_clique
+    )
     edges = list(itertools.combinations(range(m), 2))
     paths, path_edges = _element_paths(n, k - 2, m)
     edges += path_edges
@@ -194,13 +220,15 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
         for i in range(n)
         if i not in S
     ]
-    w_id = {pair: w_base + t for t, pair in enumerate(w_pairs)}
-    for (j, i), w in w_id.items():
+    groups: dict[tuple[str, int], list[int]] = {}  # the w vertices of one set or one element
+    for t, (j, i) in enumerate(w_pairs):
+        w = w_base + t
         edges.append((j, w))
         edges.append((w, paths[i][0]))
-    for (j1, i1), (j2, i2) in itertools.combinations(w_pairs, 2):
-        if j1 == j2 or i1 == i2:
-            edges.append((w_id[(j1, i1)], w_id[(j2, i2)]))
+        groups.setdefault(("S", j), []).append(w)
+        groups.setdefault(("u", i), []).append(w)
+    for group in groups.values():
+        edges += itertools.combinations(group, 2)
     labels = (
         [f"S_{j}" for j in range(m)]
         + [f"u_{i}^{j + 1}" for i in range(n) for j in range(k - 2)]

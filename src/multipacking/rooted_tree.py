@@ -1,113 +1,142 @@
-"""Rooted trees with subtree surgery and gadget-shape classification.
+"""Rooted trees whose surgery is one mask operation, and gadget-shape classification.
 
-Vertex ids are preserved across removals, so a tree obtained by surgery is
-sparse over the host graph's id space.  The empty tree is a first-class
-value (``RootedTree.EMPTY``) with height -1.
+``bfs_tree`` and ``RootedTree.from_parents`` compute a tree's arrays once,
+indexed by vertex id: parent, child masks, depth, depth-layer masks and
+subtree masks.  A tree obtained by surgery shares those arrays and differs
+only in ``alive``, the int bitmask of the vertices still present, so
+``remove_subtree`` and ``remove_leaf`` are O(1) mask operations and shapes
+are read from child masks ANDed with ``alive``.  Vertex ids are preserved
+across removals.  The empty tree has height -1.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .graph import Graph, bfs_distances
+from .graph import Graph
+
+
+def members(mask: int) -> list[int]:
+    """The set bits of ``mask`` as ascending vertex ids."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class _Arrays(NamedTuple):
+    """Per-vertex arrays shared by a tree and every tree cut from it."""
+
+    root: Optional[int]
+    parent: list[Optional[int]]
+    kids: list[int]  # child masks
+    depth: list[int]
+    layers: list[int]  # layers[d]: the vertices at depth d
+    sub: list[int]  # sub[u]: the vertices of the subtree rooted at u
 
 
 class RootedTree:
-    """Immutable rooted tree: parent/children maps keyed by vertex id."""
+    """Immutable rooted tree: shared per-vertex arrays plus the mask ``alive``."""
 
-    __slots__ = ("root", "parent", "children", "depth")
+    __slots__ = ("arrays", "alive", "height")
 
-    def __init__(
-        self,
-        root: Optional[int],
-        parent: dict[int, Optional[int]],
-        children: dict[int, tuple[int, ...]],
-        depth: dict[int, int],
-    ):
-        self.root = root
-        self.parent = parent
-        self.children = children
-        self.depth = depth
+    def __init__(self, arrays: _Arrays, alive: int, height: int):
+        self.arrays = arrays
+        self.alive = alive
+        self.height = height
 
     @staticmethod
     def empty() -> "RootedTree":
-        return RootedTree(None, {}, {}, {})
+        return RootedTree(_Arrays(None, [], [], [], [], []), 0, -1)
 
     @staticmethod
     def from_parents(root: int, parent_of: dict[int, int]) -> "RootedTree":
         """Build from a {child: parent} map (root excluded from the map)."""
-        parent: dict[int, Optional[int]] = {root: None}
-        parent.update(parent_of)
-        kids: dict[int, list[int]] = {v: [] for v in parent}
+        ids = parent_of.keys() | parent_of.values() | {root}
+        if root in parent_of or min(ids) < 0:
+            raise ValueError("vertex ids must be nonnegative and the root must have no parent")
+        size = max(ids) + 1
+        parent: list[Optional[int]] = [None] * size
+        kids = [0] * size
         for c, p in parent_of.items():
-            kids[p].append(c)
-        children = {v: tuple(sorted(k)) for v, k in kids.items()}
-        depth: dict[int, int] = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for c in children[u]:
+            parent[c] = p
+            kids[p] |= 1 << c
+        depth = [0] * size
+        order = [root]
+        for u in order:  # BFS; grows while it is read
+            for c in members(kids[u]):
                 depth[c] = depth[u] + 1
-                queue.append(c)
-        if len(depth) != len(parent):
+                order.append(c)
+        if len(order) != len(parent_of) + 1:
             raise ValueError("parent map is not a tree rooted at the given root")
-        return RootedTree(root, parent, children, depth)
+        layers = [0] * (depth[order[-1]] + 1)
+        sub = [1 << v for v in range(size)]
+        for u in reversed(order):  # children before parents
+            layers[depth[u]] |= 1 << u
+            if u != root:
+                sub[parent[u]] |= sub[u]
+        arrays = _Arrays(root, parent, kids, depth, layers, sub)
+        return RootedTree(arrays, sub[root], len(layers) - 1)
+
+    @property
+    def root(self) -> Optional[int]:
+        return self.arrays.root if self.alive else None
 
     @property
     def n(self) -> int:
-        return len(self.parent)
+        return self.alive.bit_count()
 
     def is_empty(self) -> bool:
-        return self.root is None
-
-    @property
-    def height(self) -> int:
-        return max(self.depth.values(), default=-1)
+        return not self.alive
 
     def vertices(self) -> list[int]:
-        return sorted(self.parent)
+        return members(self.alive)
+
+    # {vertex: value} over the live vertices; the surgery reads ``arrays``.
+    @property
+    def parent(self) -> dict[int, Optional[int]]:
+        return {v: self.arrays.parent[v] for v in self.vertices()}
+
+    @property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        return {v: tuple(members(self.arrays.kids[v] & self.alive)) for v in self.vertices()}
+
+    @property
+    def depth(self) -> dict[int, int]:
+        return {v: self.arrays.depth[v] for v in self.vertices()}
+
+    def _check(self, v: int) -> None:
+        if v < 0 or not self.alive >> v & 1:
+            raise ValueError(f"vertex {v} not in tree")
 
     def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+        self._check(v)
+        return not self.arrays.kids[v] & self.alive
 
     def subtree_vertices(self, u: int) -> list[int]:
-        if u not in self.parent:
-            raise ValueError(f"vertex {u} not in tree")
-        out = []
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
+        self._check(u)
+        return members(self.arrays.sub[u] & self.alive)
 
-    def _without(self, removed: set[int]) -> "RootedTree":
-        if self.root in removed:
-            return RootedTree.empty()
-        parent = {v: p for v, p in self.parent.items() if v not in removed}
-        children = {
-            v: tuple(c for c in self.children[v] if c not in removed)
-            for v in parent
-        }
-        depth = {v: d for v, d in self.depth.items() if v not in removed}
-        return RootedTree(self.root, parent, children, depth)
+    def _cut(self, alive: int) -> "RootedTree":
+        layers, h = self.arrays.layers, self.height
+        while h >= 0 and not layers[h] & alive:
+            h -= 1
+        return RootedTree(self.arrays, alive, h)
 
     def remove_subtree(self, u: int) -> "RootedTree":
-        """Delete the whole subtree rooted at u; removing the root yields EMPTY."""
-        return self._without(set(self.subtree_vertices(u)))
+        """Delete the whole subtree rooted at u; removing the root yields the empty tree."""
+        self._check(u)
+        return self._cut(self.alive & ~self.arrays.sub[u])
 
     def remove_leaf(self, w: int) -> "RootedTree":
-        if w not in self.parent:
-            raise ValueError(f"vertex {w} not in tree")
-        if self.children[w]:
+        if not self.is_leaf(w):
             raise ValueError(f"vertex {w} is not a leaf")
-        return self._without({w})
+        return self._cut(self.alive & ~(1 << w))
 
 
-@dataclass(frozen=True)
-class GadgetShape:
+class GadgetShape(NamedTuple):
     """Structural class of a subtree: height-1 star, height-2 spider, or other."""
 
     kind: str  # "H1" | "H2" | "other"
@@ -120,8 +149,7 @@ def deepest_vertices(t: RootedTree) -> list[int]:
     """All vertices of maximum depth, ascending ids."""
     if t.is_empty():
         return []
-    h = t.height
-    return sorted(v for v, d in t.depth.items() if d == h)
+    return members(t.arrays.layers[t.height] & t.alive)
 
 
 def classify_subtree(t: RootedTree, u: int) -> GadgetShape:
@@ -131,22 +159,18 @@ def classify_subtree(t: RootedTree, u: int) -> GadgetShape:
     exactly 2, each depth-1 child that has children has exactly one child
     (a leaf); k1 counts those legs and k2 the leaf children of u.
     """
-    if u not in t.parent:
-        raise ValueError(f"vertex {u} not in tree")
-    kids = t.children[u]
-    if all(t.is_leaf(c) for c in kids):
-        return GadgetShape("H1", k=len(kids))
-    k1 = 0
-    k2 = 0
-    for c in kids:
-        grand = t.children[c]
+    t._check(u)
+    kids, alive = t.arrays.kids, t.alive
+    k1 = k2 = 0
+    for c in members(kids[u] & alive):
+        grand = kids[c] & alive
         if not grand:
             k2 += 1
-        elif len(grand) == 1 and t.is_leaf(grand[0]):
-            k1 += 1
-        else:
+        elif grand & (grand - 1) or kids[grand.bit_length() - 1] & alive:
             return GadgetShape("other")
-    return GadgetShape("H2", k1=k1, k2=k2)
+        else:
+            k1 += 1
+    return GadgetShape("H2", k1=k1, k2=k2) if k1 else GadgetShape("H1", k=k2)
 
 
 def bfs_tree(g: Graph, root: int) -> RootedTree:
@@ -156,17 +180,13 @@ def bfs_tree(g: Graph, root: int) -> RootedTree:
     """
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range")
-    dist = bfs_distances(g, root)
-    if g.n in dist:
-        raise ValueError("BFS tree undefined for disconnected graphs")
     parent_of: dict[int, int] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+    order = [root]
+    for u in order:
         for v in g.adj[u]:
-            if v not in seen:
-                seen.add(v)
+            if v != root and v not in parent_of:
                 parent_of[v] = u
-                queue.append(v)
+                order.append(v)
+    if len(order) != g.n:
+        raise ValueError("BFS tree undefined for disconnected graphs")
     return RootedTree.from_parents(root, parent_of)

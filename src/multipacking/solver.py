@@ -8,12 +8,14 @@ rule (``split_162``) gives an O*(1.62^n) family; the gadget-aware rule
 (``split_158``) gives O*(1.58^n).
 
 The solve (``solve_detailed``) builds the family as int bitmasks with
-``family_packings``, which drops every set with two vertices within
+``family_packings``, which recurses on trees cut by O(1) mask surgery
+(``multipacking.rooted_tree``), drops every set with two vertices within
 distance 2 of G while it builds, and counts the full unpruned family size
-without materialising it.  The survivors are checked against ball bitmasks
-of G precomputed once per component (``ball_masks``, ``fits_balls``), which
-share no code with ``multipacking.oracle``, so comparing the solvers with
-the oracle compares two independent multipacking checkers.
+without materialising it.  Of the survivors, only a set that would beat the
+best so far (larger, or earlier in the tie-break) is checked against ball
+bitmasks of G precomputed once per component (``ball_masks``,
+``fits_balls``), which share no code with ``multipacking.oracle``, so
+comparing the solvers with the oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
 families as ``frozenset``s and are the reference the kernel is tested
 against.
@@ -23,18 +25,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    all_pairs,
-    connected_components,
-    induced_subgraph,
-)
+from .graph import DistanceMatrix, Graph, all_pairs, connected_components, induced_subgraph
 from .rooted_tree import (
     RootedTree,
     bfs_tree,
     classify_subtree,
     deepest_vertices,
+    members,
 )
 
 Family = set[frozenset[int]]
@@ -42,10 +39,7 @@ Family = set[frozenset[int]]
 
 def enumerate_h1(vertex_ids: Iterable[int]) -> Family:
     """All multipackings of a height<=1 star: the empty set plus singletons."""
-    fam: Family = {frozenset()}
-    for v in vertex_ids:
-        fam.add(frozenset({v}))
-    return fam
+    return {frozenset()} | {frozenset({v}) for v in vertex_ids}
 
 
 def h2_roles(t: RootedTree, u: int) -> tuple[list[int], list[int], list[int]]:
@@ -53,39 +47,30 @@ def h2_roles(t: RootedTree, u: int) -> tuple[list[int], list[int], list[int]]:
     shape = classify_subtree(t, u)
     if shape.kind != "H2":
         raise ValueError(f"subtree at {u} is {shape.kind}, not H2")
-    A: list[int] = []
-    B: list[int] = []
-    C: list[int] = []
-    for c in t.children[u]:
-        grand = t.children[c]
-        if grand:
-            A.append(c)
-            B.append(grand[0])
-        else:
-            C.append(c)
-    return A, B, C
+    kids, alive = t.arrays.kids, t.alive
+    A = [c for c in members(kids[u] & alive) if kids[c] & alive]
+    C = [c for c in members(kids[u] & alive) if not kids[c] & alive]
+    return A, [(kids[a] & alive).bit_length() - 1 for a in A], C
 
 
-def enumerate_h2(t: RootedTree, u: int) -> Family:
-    """All multipackings of an H2(k1,k2) spider subtree rooted at u.
+def spider_masks(t: RootedTree, u: int) -> list[int]:
+    """All multipackings of an H2(k1,k2) spider subtree rooted at u, as bitmasks.
 
     Size-2 members are exactly the pairs at tree distance >= 3: leg bottoms
     with leaf children, two distinct leg bottoms, and a leg top with the
     bottom of a different leg.
     """
     A, B, C = h2_roles(t, u)
-    fam = enumerate_h1(t.subtree_vertices(u))  # empty set + all singletons
-    for b in B:
-        for c in C:
-            fam.add(frozenset({b, c}))
-    for i in range(len(B)):
-        for j in range(i + 1, len(B)):
-            fam.add(frozenset({B[i], B[j]}))
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            if i != j:
-                fam.add(frozenset({a, b}))
-    return fam
+    out = [0] + [1 << v for v in t.subtree_vertices(u)]
+    out += [1 << b | 1 << c for b in B for c in C]
+    out += [1 << b | 1 << B[j] for i, b in enumerate(B) for j in range(i + 1, len(B))]
+    out += [1 << a | 1 << b for i, a in enumerate(A) for j, b in enumerate(B) if i != j]
+    return out
+
+
+def enumerate_h2(t: RootedTree, u: int) -> Family:
+    """``spider_masks`` as a set of ``frozenset``s."""
+    return {frozenset(members(m)) for m in spider_masks(t, u)}
 
 
 Step = Optional[tuple[Optional[int], int]]  # None at the base case, else (w, top)
@@ -106,17 +91,18 @@ def split_158(t: RootedTree) -> Step:
     if t.height <= 1:
         return None
     deepest = deepest_vertices(t)
+    parent = t.arrays.parent
     for w in deepest:
-        w1 = t.parent[w]
+        w1 = parent[w]
         shape = classify_subtree(t, w1)
         if shape.kind == "H1" and shape.k >= 2:
             return w, w1
     for w in deepest:
-        w2 = t.parent[t.parent[w]]
+        w2 = parent[parent[w]]
         shape = classify_subtree(t, w2)
         if shape.kind == "H2" and shape.k1 == 1 and shape.k2 == 0:
             return w, w2
-    return None, t.parent[t.parent[deepest[0]]]
+    return None, parent[parent[deepest[0]]]
 
 
 def split_162(t: RootedTree) -> Step:
@@ -125,7 +111,7 @@ def split_162(t: RootedTree) -> Step:
     if t.n <= 1:
         return None
     w = deepest_vertices(t)[0]
-    return w, t.parent[w]
+    return w, t.arrays.parent[w]
 
 
 def _reference_family(
@@ -173,15 +159,11 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
     w, top = step
     rest, count = family_packings(t.remove_subtree(top), split, near)
     if w is None:
-        spider = enumerate_h2(t, top)
-        blocks = []  # (mask, vertices near it) of each spider member kept
-        for m in spider:
-            mask = block = 0
-            for v in m:
-                mask |= 1 << v
-                block |= near[v]
-            if not mask & block:
-                blocks.append((mask, block))
+        spider = spider_masks(t, top)
+        # A member has at most two vertices, its lowest and its highest bit.
+        ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
+                for m in spider if m)
+        blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
         kept = [m1 | m2 for m1 in rest for m2, block in blocks if not m1 & block]
         return kept, count * len(spider)
     bit, block = 1 << w, near[w]
@@ -255,23 +237,20 @@ def fits_balls(balls: BallMasks, mask: int) -> bool:
 _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
 
 
-def _members(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]:
     balls = ball_masks(all_pairs(g))
     packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
-    size = 0
-    largest: list[int] = []  # survivors of the largest size so far
+    size = best = 0
     for m in packings:
         k = m.bit_count()
-        if k >= size and fits_balls(balls, m):
-            if k > size:
-                size, largest = k, []
-            largest.append(m)
-    witness = min(_members(m) for m in largest)
-    return size, witness, family_size
+        if k < size:
+            continue
+        # Of two sets of one size the earlier sorted tuple holds the lowest
+        # differing vertex; a later set of the current size cannot win.
+        d = m ^ best
+        if (k > size or m & d & -d) and fits_balls(balls, m):
+            size, best = k, m
+    return size, tuple(members(best)), family_size
 
 
 def solve_detailed(g: Graph, algo: str) -> tuple[int, tuple[int, ...], int]:

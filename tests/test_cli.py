@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -97,6 +98,17 @@ def test_reduce_hs_rejects_oversized_header(tmp_path, capsys):
         main(["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "x")])
     assert e.value.code == 3
     assert "exceeds the cap" in capsys.readouterr().err
+    assert not (tmp_path / "x.graph").exists()
+
+
+def test_reduce_hs_rejects_oversized_output(tmp_path, capsys):
+    hs = tmp_path / "pairs.hs"
+    hs.write_text("33333 1 3\n1 0\n")  # within the header cap, but C(33333, 2) pair vertices
+    start = time.perf_counter()
+    code = main(["reduce", "hs", str(hs), "--variant", "hyperbolic", "--out", str(tmp_path / "x")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "caps are" in capsys.readouterr().err
     assert not (tmp_path / "x.graph").exists()
 
 

@@ -22,6 +22,8 @@ from multipacking.oracle import (
 )
 from multipacking.randgen import random_hitting_set_instance
 from multipacking.reductions import (
+    MAX_OUTPUT_EDGES,
+    MAX_OUTPUT_VERTICES,
     HittingSetInstance,
     ReductionOutput,
     havel_hakimi_regular,
@@ -162,6 +164,26 @@ def test_bipartite_k2_equivalence_gap():
         assert set(out.graph.adj[v]) == other
     for v in other:
         assert set(out.graph.adj[v]) == family
+
+
+def test_reductions_cap_their_output_before_building():
+    """Each variant rejects an instance whose output would exceed the caps."""
+    cases = [
+        # the chordal family clique alone has C(2000, 2) edges
+        (reduce_hs_chordal, HittingSetInstance.make(1, [{0}] * 2000, 2)),
+        # C(60, 2) pair vertices join the family clique
+        (reduce_hs_half_hyperbolic, HittingSetInstance.make(60, [{0}], 3)),
+        # every head misses all 600 sets
+        (reduce_hs_bipartite, HittingSetInstance.make(2000, [{0}] * 600, 2)),
+        # w vertices sharing a set or an element form cliques
+        (reduce_hs_clawfree, HittingSetInstance.make(200, [{0}] * 60, 3)),
+        # C(600, 2) pair vertices exceed the vertex cap on their own
+        (reduce_hs_half_hyperbolic, HittingSetInstance.make(600, [], 3)),
+    ]
+    for builder, inst in cases:
+        with pytest.raises(ValueError, match="caps are"):
+            builder(inst)
+    assert 600 * 599 // 2 > MAX_OUTPUT_VERTICES and 2000 * 1999 // 2 > MAX_OUTPUT_EDGES
 
 
 def test_havel_hakimi():
