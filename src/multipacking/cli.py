@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import checkers, formats, pathcount, randgen, reductions, solver
 from .graph import all_pairs, is_connected
-from .oracle import brute_force_mp, duality_report, is_multipacking
+from .oracle import brute_force_mp, duality_report, enumerate_multipackings, is_multipacking
 from .rooted_tree import bfs_tree
 
 JSON_SCHEMA = "multipacking-report/1"
@@ -74,11 +74,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = _parse(formats.parse_graph, _read(args.graph))
     members = _parse(formats.parse_vertex_set, _read(args.set_file))
-    try:
-        ok = is_multipacking(g, all_pairs(g), members)
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
+    ok = is_multipacking(g, all_pairs(g), members)
     print("multipacking" if ok else "not a multipacking")
     return 0 if ok else 1
 
@@ -98,25 +94,17 @@ def cmd_reduce_hs(args) -> int:
         "bipartite": reductions.reduce_hs_bipartite,
         "clawfree": reductions.reduce_hs_clawfree,
     }
-    try:
-        out = builders[args.variant](inst)
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
+    out = builders[args.variant](inst)
     _write_reduction(out, args.out)
     return 0
 
 
 def cmd_reduce_tds(args) -> int:
     g = _parse(formats.parse_graph, _read(args.graph))
-    try:
-        if args.variant == "regular":
-            out = reductions.reduce_tds_regular(g, args.k)
-        else:
-            out = reductions.reduce_tds_conv(g, args.k)
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
+    if args.variant == "regular":
+        out = reductions.reduce_tds_regular(g, args.k)
+    else:
+        out = reductions.reduce_tds_conv(g, args.k)
     _write_reduction(out, args.out)
     return 0
 
@@ -142,11 +130,7 @@ def cmd_check(args) -> int:
             ok = deg is not None
             detail = f"degree {deg}" if ok else "degrees differ"
         elif prop == "hyperbolicity":
-            try:
-                delta = checkers.hyperbolicity(g)
-            except ValueError as e:
-                print(f"input error: {e}", file=sys.stderr)
-                return 3
+            delta = checkers.hyperbolicity(g)
             ok = True
             detail = f"delta = {delta}"
         else:
@@ -171,7 +155,7 @@ def cmd_count(args) -> int:
         for i in range(1, upto + 1):
             p = pathcount.path_graph(i)
             observed = (
-                len(pathcount.enumerate_multipackings(p))
+                len(enumerate_multipackings(p))
                 if args.kind == "all"
                 else len(pathcount.enumerate_maximal_multipackings(p))
             )
@@ -184,11 +168,7 @@ def cmd_count(args) -> int:
 
 def cmd_duality(args) -> int:
     g = _parse(formats.parse_graph, _read(args.graph))
-    try:
-        rep = duality_report(g)
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
+    rep = duality_report(g)
     print(f"mp                {rep.mp}")
     print(f"gamma_b           {rep.gamma_b}")
     print(f"mp_witness        {' '.join(map(str, rep.mp_witness)) or '-'}")
@@ -283,7 +263,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"input error: {e}", file=sys.stderr)
         return 3
 
 

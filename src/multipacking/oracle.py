@@ -3,6 +3,9 @@
 Everything here is exhaustive and independent of the candidate-family
 solvers, so it can arbitrate their answers.  Witness tie-break throughout:
 maximum size first, then lexicographically smallest member tuple.
+
+One DFS, `enumerate_multipackings`, finds every multipacking; `brute_force_mp`
+is its best pick and `pathcount` reads the maximal sets from its output.
 """
 
 from __future__ import annotations
@@ -87,23 +90,7 @@ def brute_force_mp(
     g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_MP_CAP
 ) -> tuple[int, tuple[int, ...]]:
     """Exact MP(G) with the lexicographically smallest maximum witness."""
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds cap {cap}")
-    if D is None:
-        D = all_pairs(g)
-    best: tuple[int, ...] = ()
-
-    def extend(cur: tuple[int, ...], start: int) -> None:
-        nonlocal best
-        for v in range(start, g.n):
-            cand = cur + (v,)
-            if is_multipacking(g, D, cand):
-                if len(cand) > len(best):
-                    best = cand
-                extend(cand, v + 1)
-
-    extend((), 0)
-    return len(best), best
+    return pick_best(enumerate_multipackings(g, D, cap))
 
 
 def is_total_dominating(g: Graph, S: Sequence[int]) -> bool:

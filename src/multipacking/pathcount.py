@@ -6,8 +6,8 @@ exponentially and overflow fixed-width types near n = 90.
 
 from __future__ import annotations
 
-from .graph import Graph, all_pairs
-from .oracle import DEFAULT_MP_CAP, enumerate_multipackings, is_multipacking
+from .graph import Graph
+from .oracle import DEFAULT_MP_CAP, enumerate_multipackings
 
 
 def path_graph(n: int) -> Graph:
@@ -46,16 +46,9 @@ def enumerate_maximal_multipackings(
 ) -> list[tuple[int, ...]]:
     """All inclusion-maximal multipackings of g, in lexicographic order.
 
-    Multipackings are downward closed, so a set is maximal iff no single
-    vertex can be added.
+    Multipackings are downward closed, so a set is not maximal iff it is
+    some multipacking with one member dropped.
     """
-    D = all_pairs(g)
-    out = []
-    for m in enumerate_multipackings(g, D, cap=cap):
-        members = set(m)
-        if all(
-            v in members or not is_multipacking(g, D, m + (v,))
-            for v in range(g.n)
-        ):
-            out.append(m)
-    return out
+    fam = enumerate_multipackings(g, cap=cap)
+    dropped = {s[:i] + s[i + 1:] for s in fam for i in range(len(s))}
+    return [m for m in fam if m not in dropped]

@@ -146,11 +146,15 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
 
 def _hit_by_two(inst: HittingSetInstance) -> bool:
     """Whether one element or one pair hits every set (an empty family
-    is hit by the empty set)."""
-    return not inst.family or any(
-        all(a in S or b in S for S in inst.family)
-        for a, b in itertools.combinations_with_replacement(range(inst.n), 2)
-    )
+    is hit by the empty set).  Such a set holds an element a of the
+    smallest set, and the sets missing a share its other element."""
+    if not inst.family:
+        return True
+    for a in min(inst.family, key=len):
+        missed = [S for S in inst.family if a not in S]
+        if not missed or frozenset.intersection(*missed):
+            return True
+    return False
 
 
 def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
@@ -166,11 +170,11 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     MP >= 2 on every instance.  A bipartite output of a no-instance must
     then have diameter <= 2, i.e. be complete bipartite, which no
     per-element gadget achieves.  So at k = 2 min-HS <= 2 is decided
-    directly (O(n^2 m) pair checks): a yes-instance gets the gadget
-    unchanged, a no-instance gets every head joined to every S_j, which
-    makes the output complete bipartite between {S_j} and {u_i^1, C}
-    (MP = 1).  Size, ids, labels and C's neighbourhood are the same in
-    both branches.
+    directly (`_hit_by_two`, O(|S_min| sum |S|) work): a yes-instance gets
+    the gadget unchanged, a no-instance gets every head joined to every
+    S_j, which makes the output complete bipartite between {S_j} and
+    {u_i^1, C} (MP = 1).  Size, ids, labels and C's neighbourhood are the
+    same in both branches.
     """
     n, m, k = inst.n, inst.m, inst.k
     if k < 2:

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
+from multipacking.graph import Graph, all_pairs
 from multipacking.pathcount import (
     count_all_path,
     count_maximal_path,
     enumerate_maximal_multipackings,
     path_graph,
 )
-from multipacking.oracle import enumerate_multipackings
+from multipacking.oracle import enumerate_multipackings, is_multipacking
+from multipacking.randgen import random_connected_graph
 
 
 def test_count_all_first_values():
@@ -45,6 +49,32 @@ def test_maximal_sets_really_are_maximal():
             for v in range(p.n)
             if v not in m
         )
+
+
+def _maximal_by_extension(g):
+    """The definition: multipackings to which no single vertex can be added."""
+    D = all_pairs(g)
+    return [
+        m
+        for m in enumerate_multipackings(g, D)
+        if not any(v not in m and is_multipacking(g, D, m + (v,)) for v in range(g.n))
+    ]
+
+
+def test_maximal_sets_match_extension_check_off_paths():
+    rng = random.Random(71)
+    graphs = [
+        random_connected_graph(rng.randint(1, 10), rng, rng.choice([0.05, 0.2, 0.5]))
+        for _ in range(200)
+    ]
+    graphs += [  # disconnected, with and without isolated vertices
+        Graph.from_edges(3, []),
+        Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]),
+        Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (3, 4), (6, 7)]),
+    ]
+    for g in graphs:
+        assert enumerate_maximal_multipackings(g) == _maximal_by_extension(g)
 
 
 def test_growth_constants():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,17 @@ def test_bipartite_k2_equivalence_gap():
         assert set(out.graph.adj[v]) == other
     for v in other:
         assert set(out.graph.adj[v]) == family
+
+
+def test_bipartite_k2_decision_is_fast_on_a_wide_universe():
+    """Deciding min-HS <= 2 tries only the elements of the smallest set, so
+    30 000 elements with the no-instance {0}, {1}, {2} take well under 2 s."""
+    inst = HittingSetInstance.make(30000, [{0}, {1}, {2}], 2)
+    start = time.perf_counter()
+    out = reduce_hs_bipartite(inst)
+    assert time.perf_counter() - start < 2.0
+    heads = range(inst.m, inst.m + 5)  # k = 2: each element path is just its head
+    assert all(out.graph.has_edge(h, j) for h in heads for j in range(inst.m))
 
 
 def test_reductions_cap_their_output_before_building():
