@@ -14,9 +14,8 @@ import time
 from pathlib import Path
 
 from . import checkers, formats, pathcount, randgen, reductions, solver
-from .graph import all_pairs, is_connected
+from .graph import all_pairs
 from .oracle import brute_force_mp, duality_report, enumerate_multipackings, is_multipacking
-from .rooted_tree import bfs_tree
 
 JSON_SCHEMA = "multipacking-report/1"
 
@@ -86,15 +85,17 @@ def _write_reduction(out, prefix: str) -> None:
     print(f"wrote {prefix}.graph ({out.graph.n} vertices), .labels, .claims")
 
 
+HS_VARIANTS = {  # `reduce hs --variant` name -> builder, in `--help` order
+    "chordal": reductions.reduce_hs_chordal,
+    "hyperbolic": reductions.reduce_hs_half_hyperbolic,
+    "bipartite": reductions.reduce_hs_bipartite,
+    "clawfree": reductions.reduce_hs_clawfree,
+}
+
+
 def cmd_reduce_hs(args) -> int:
     inst = _parse(formats.parse_hitting_set, _read(args.hs_file))
-    builders = {
-        "chordal": reductions.reduce_hs_chordal,
-        "hyperbolic": reductions.reduce_hs_half_hyperbolic,
-        "bipartite": reductions.reduce_hs_bipartite,
-        "clawfree": reductions.reduce_hs_clawfree,
-    }
-    out = builders[args.variant](inst)
+    out = HS_VARIANTS[args.variant](inst)
     _write_reduction(out, args.out)
     return 0
 
@@ -183,9 +184,7 @@ def cmd_bench(args) -> int:
     print("n,family_size,growth")
     for _ in range(args.trees):
         n = rng.randint(2, args.max_n)
-        tree = randgen.random_tree(n, rng)
-        near = solver.ball_masks(all_pairs(tree)).near
-        _, size = solver.family_packings(bfs_tree(tree, 0), solver.split_158, near)
+        size = solver.solve_detailed(randgen.random_tree(n, rng), "a158")[2]
         growth = size ** (1.0 / n)
         print(f"{n},{size},{growth:.6f}")
     return 0
@@ -213,11 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = rp.add_subparsers(dest="kind", required=True)
     sp = rsub.add_parser("hs", help="from a hitting-set instance")
     sp.add_argument("hs_file")
-    sp.add_argument(
-        "--variant",
-        required=True,
-        choices=["chordal", "hyperbolic", "bipartite", "clawfree"],
-    )
+    sp.add_argument("--variant", required=True, choices=list(HS_VARIANTS))
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_reduce_hs)
     sp = rsub.add_parser("tds", help="from a total-dominating-set instance")

@@ -4,8 +4,9 @@ Everything here is exhaustive and independent of the candidate-family
 solvers, so it can arbitrate their answers.  Witness tie-break throughout:
 maximum size first, then lexicographically smallest member tuple.
 
-One DFS, `enumerate_multipackings`, finds every multipacking; `brute_force_mp`
-is its best pick and `pathcount` reads the maximal sets from its output.
+One DFS, `_search`, visits every multipacking: `enumerate_multipackings`
+lists them (and `pathcount` reads the maximal sets from that list), while
+`brute_force_mp` keeps only the best one seen.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool
     return True
 
 
-def enumerate_multipackings(
-    g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_MP_CAP
-) -> list[tuple[int, ...]]:
-    """All multipackings of g, in lexicographic order of sorted member tuples.
+def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
+    """Call visit on every multipacking of g, in lexicographic order of
+    sorted member tuples.
 
     Exploits downward closure: only extensions of multipackings are explored,
     so the running time is polynomial in the output size.
@@ -61,16 +61,24 @@ def enumerate_multipackings(
         raise ValueError(f"n={g.n} exceeds cap {cap}")
     if D is None:
         D = all_pairs(g)
-    out: list[tuple[int, ...]] = [()]
+    visit(())
 
     def extend(cur: tuple[int, ...], start: int) -> None:
         for v in range(start, g.n):
             cand = cur + (v,)
             if is_multipacking(g, D, cand):
-                out.append(cand)
+                visit(cand)
                 extend(cand, v + 1)
 
     extend((), 0)
+
+
+def enumerate_multipackings(
+    g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_MP_CAP
+) -> list[tuple[int, ...]]:
+    """All multipackings of g, in lexicographic order of sorted member tuples."""
+    out: list[tuple[int, ...]] = []
+    _search(g, D, cap, out.append)
     return out
 
 
@@ -89,8 +97,20 @@ def pick_best(sets: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
 def brute_force_mp(
     g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_MP_CAP
 ) -> tuple[int, tuple[int, ...]]:
-    """Exact MP(G) with the lexicographically smallest maximum witness."""
-    return pick_best(enumerate_multipackings(g, D, cap))
+    """Exact MP(G) with the lexicographically smallest maximum witness.
+
+    Keeps only the best set: the search runs in lexicographic order, so the
+    first set of each new largest size is the witness.
+    """
+    best: tuple[int, ...] = ()
+
+    def keep(s: tuple[int, ...]) -> None:
+        nonlocal best
+        if len(s) > len(best):
+            best = s
+
+    _search(g, D, cap, keep)
+    return len(best), best
 
 
 def is_total_dominating(g: Graph, S: Sequence[int]) -> bool:
@@ -99,17 +119,21 @@ def is_total_dominating(g: Graph, S: Sequence[int]) -> bool:
     return all(any(u in members for u in g.adj[v]) for v in range(g.n))
 
 
+def _smallest(n: int, ok) -> int:
+    """Size of the smallest subset of 0..n-1 that satisfies ok, trying sizes from 0."""
+    for size in range(n + 1):
+        if any(ok(S) for S in itertools.combinations(range(n), size)):
+            return size
+    raise AssertionError("unreachable: the whole set always satisfies ok")
+
+
 def brute_force_min_tds(g: Graph, cap: int = DEFAULT_MP_CAP) -> int:
     """Exact minimum total dominating set size; errors on isolated vertices."""
     if g.n > cap:
         raise ValueError(f"n={g.n} exceeds cap {cap}")
     if any(not g.adj[v] for v in range(g.n)):
         raise ValueError("no total dominating set exists: isolated vertex")
-    for size in range(1, g.n + 1):
-        for S in itertools.combinations(range(g.n), size):
-            if is_total_dominating(g, S):
-                return size
-    raise AssertionError("unreachable: V itself is always total dominating")
+    return _smallest(g.n, lambda S: is_total_dominating(g, S))
 
 
 def brute_force_min_hs(
@@ -124,12 +148,7 @@ def brute_force_min_hs(
     for s in sets:
         if any(not 0 <= e < universe_size for e in s):
             raise ValueError("family element out of universe range")
-    for size in range(0, universe_size + 1):
-        for H in itertools.combinations(range(universe_size), size):
-            hs = set(H)
-            if all(s & hs for s in sets):
-                return size
-    raise AssertionError("unreachable: the full universe hits everything")
+    return _smallest(universe_size, lambda H: all(not s.isdisjoint(H) for s in sets))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Each generator emits the constructed graph together with per-vertex
 provenance labels, the target multipacking size, and the structural claims
 the construction is supposed to satisfy (checkable with the class
-checkers).  Vertex id layout is fixed per variant: family block first,
-then element paths row-major, then variant-specific blocks; the regular
-variant lays gadgets out consecutively per input vertex.
+checkers).  Five variants share one vertex layout (`_layout`): sets S_j
+first, then one path u_i^1..u_i^L per element, then the variant's own
+block.  The Hitting-Set heads u_i^1 link to the sets that miss i
+(`_misses`); CONV has no sets and joins its heads along the complement of
+the input.  The regular variant lays out one gadget per input vertex.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from math import comb
 from .checkers import regularity
 from .graph import Graph
 
-# Largest output a Hitting-Set reduction builds; each reduce_hs_* checks its
-# vertex and edge counts, computed from (n, m, k), before it allocates.
+# Largest output any reduction builds; each reduce_* checks its vertex and
+# edge counts, computed from the input's sizes and k, before it allocates.
 MAX_OUTPUT_VERTICES = 100_000
 MAX_OUTPUT_EDGES = 1_000_000
 
@@ -74,12 +76,21 @@ def _check_output_size(variant: str, vertices: int, edges: int) -> None:
         )
 
 
-def _element_paths(n: int, length: int, base: int):
-    """Row-major element-path block: element i gets vertices
-    base + i*length + (j-1) for j = 1..length.  Returns (ids, path edges)."""
-    ids = [[base + i * length + j for j in range(length)] for i in range(n)]
-    edges = [(row[j], row[j + 1]) for row in ids for j in range(length - 1)]
-    return ids, edges
+def _layout(m: int, n: int, length: int):
+    """Family vertices S_0..S_{m-1} at ids 0..m-1, then element i's path
+    u_i^1..u_i^length at ids m + i*length + (0..length-1).
+    Returns (path ids, path edges, labels in id order)."""
+    paths = [[m + i * length + j for j in range(length)] for i in range(n)]
+    edges = [(row[j], row[j + 1]) for row in paths for j in range(length - 1)]
+    labels = [f"S_{j}" for j in range(m)] + [
+        f"u_{i}^{j + 1}" for i in range(n) for j in range(length)
+    ]
+    return paths, edges, labels
+
+
+def _misses(inst: HittingSetInstance) -> list[tuple[int, int]]:
+    """The pairs (j, i) with element i not in S_j, set-major."""
+    return [(j, i) for j, S in enumerate(inst.family) for i in range(inst.n) if i not in S]
 
 
 def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
@@ -93,17 +104,10 @@ def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
     if k < 2:
         raise ValueError("chordal reduction needs k >= 2")
     _check_output_size("chordal", m + n * (k - 1), comb(m, 2) + n * (k - 2) + n * m)
-    edges = list(itertools.combinations(range(m), 2))
-    paths, path_edges = _element_paths(n, k - 1, m)
-    edges += path_edges
-    for i in range(n):
-        for j, S in enumerate(inst.family):
-            if i not in S:
-                edges.append((paths[i][0], j))
-    labels = [f"S_{j}" for j in range(m)] + [
-        f"u_{i}^{j + 1}" for i in range(n) for j in range(k - 1)
-    ]
-    g = Graph.from_edges(m + n * (k - 1), edges)
+    paths, edges, labels = _layout(m, n, k - 1)
+    edges += itertools.combinations(range(m), 2)
+    edges += [(paths[i][0], j) for j, i in _misses(inst)]
+    g = Graph.from_edges(len(labels), edges)
     return ReductionOutput(g, k, tuple(labels), ("chordal",), "chordal")
 
 
@@ -121,24 +125,14 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
     _check_output_size(
         "half-hyperbolic", m + n * (k - 1) + y, n * (k - 2) + n * m + 2 * y + comb(m + y, 2)
     )
-    paths, edges = _element_paths(n, k - 1, m)
-    for i in range(n):
-        for j, S in enumerate(inst.family):
-            if i not in S:
-                edges.append((paths[i][0], j))
-    y_base = m + n * (k - 1)
+    paths, edges, labels = _layout(m, n, k - 1)
+    edges += [(paths[i][0], j) for j, i in _misses(inst)]
+    y_base = len(labels)
     pairs = list(itertools.combinations(range(n), 2))
-    for t, (i, j) in enumerate(pairs):
-        edges.append((y_base + t, paths[i][0]))
-        edges.append((y_base + t, paths[j][0]))
-    clique = list(range(m)) + [y_base + t for t in range(len(pairs))]
-    edges += list(itertools.combinations(clique, 2))
-    labels = (
-        [f"S_{j}" for j in range(m)]
-        + [f"u_{i}^{j + 1}" for i in range(n) for j in range(k - 1)]
-        + [f"y_{{{i},{j}}}" for i, j in pairs]
-    )
-    g = Graph.from_edges(y_base + len(pairs), edges)
+    edges += [(y_base + t, paths[i][0]) for t, pair in enumerate(pairs) for i in pair]
+    labels += [f"y_{{{i},{j}}}" for i, j in pairs]
+    edges += itertools.combinations([*range(m), *range(y_base, len(labels))], 2)
+    g = Graph.from_edges(len(labels), edges)
     return ReductionOutput(
         g, k, tuple(labels), ("chordal", "half_hyperbolic"), "hyperbolic"
     )
@@ -180,20 +174,13 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     if k < 2:
         raise ValueError("bipartite reduction needs k >= 2")
     _check_output_size("bipartite", m + n * (k - 1) + 1, n * (k - 2) + n * m + m)
+    paths, edges, labels = _layout(m, n, k - 1)
     join_all = k == 2 and not _hit_by_two(inst)
-    paths, edges = _element_paths(n, k - 1, m)
-    for i in range(n):
-        for j, S in enumerate(inst.family):
-            if i not in S or join_all:
-                edges.append((paths[i][0], j))
-    apex = m + n * (k - 1)
-    edges += [(apex, j) for j in range(m)]
-    labels = (
-        [f"S_{j}" for j in range(m)]
-        + [f"u_{i}^{j + 1}" for i in range(n) for j in range(k - 1)]
-        + ["C"]
-    )
-    g = Graph.from_edges(apex + 1, edges)
+    links = itertools.product(range(m), range(n)) if join_all else _misses(inst)
+    edges += [(paths[i][0], j) for j, i in links]
+    edges += [(len(labels), j) for j in range(m)]  # the apex C
+    labels.append("C")
+    g = Graph.from_edges(len(labels), edges)
     return ReductionOutput(g, k, tuple(labels), ("bipartite",), "bipartite")
 
 
@@ -214,31 +201,20 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
     _check_output_size(
         "claw-free", m + n * (k - 2) + w_max, comb(m, 2) + n * (k - 3) + 2 * w_max + w_clique
     )
-    edges = list(itertools.combinations(range(m), 2))
-    paths, path_edges = _element_paths(n, k - 2, m)
-    edges += path_edges
-    w_base = m + n * (k - 2)
-    w_pairs = [
-        (j, i)
-        for j, S in enumerate(inst.family)
-        for i in range(n)
-        if i not in S
-    ]
+    paths, edges, labels = _layout(m, n, k - 2)
+    edges += itertools.combinations(range(m), 2)
+    w_base = len(labels)
+    w_pairs = _misses(inst)
     groups: dict[tuple[str, int], list[int]] = {}  # the w vertices of one set or one element
     for t, (j, i) in enumerate(w_pairs):
         w = w_base + t
-        edges.append((j, w))
-        edges.append((w, paths[i][0]))
+        edges += [(j, w), (w, paths[i][0])]
         groups.setdefault(("S", j), []).append(w)
         groups.setdefault(("u", i), []).append(w)
     for group in groups.values():
         edges += itertools.combinations(group, 2)
-    labels = (
-        [f"S_{j}" for j in range(m)]
-        + [f"u_{i}^{j + 1}" for i in range(n) for j in range(k - 2)]
-        + [f"w_{{{j},{i}}}" for j, i in w_pairs]
-    )
-    g = Graph.from_edges(w_base + len(w_pairs), edges)
+    labels += [f"w_{{{j},{i}}}" for j, i in w_pairs]
+    g = Graph.from_edges(len(labels), edges)
     return ReductionOutput(g, k, tuple(labels), ("claw_free",), "clawfree")
 
 
@@ -305,6 +281,8 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
     if k < 4:
         raise ValueError("regular reduction needs k >= 4")
     d = n - 4
+    vertices = n * (1 + (k - 3) * d + d * d)
+    _check_output_size("regular", vertices, vertices * d)  # the output is 2d-regular
     size, layers, t_rel = _regular_gadget_layout(n, k, d)
     t_graph = havel_hakimi_regular(d * d, 2 * d - 1)
     edges: list[tuple[int, int]] = []
@@ -327,10 +305,7 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
         for j in range(d):
             group = [base + t_rel[j * d + p] for p in range(d)]
             edges += [(last[j], u) for u in group]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not g.has_edge(a, b):
-                edges.append((a * size, b * size))
+    edges += [(a * size, b * size) for a, b in g.complement().edges()]
     out = Graph.from_edges(n * size, edges)
     return ReductionOutput(
         out, k, tuple(labels), (f"regular({2 * d})",), "regular"
@@ -368,11 +343,8 @@ def reduce_tds_conv(g: Graph, k: int) -> ReductionOutput:
     n = g.n
     if k < 2:
         raise ValueError("CONV reduction needs k >= 2")
-    paths, edges = _element_paths(n, k - 1, 0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not g.has_edge(a, b):
-                edges.append((paths[a][0], paths[b][0]))
-    labels = [f"u_{i}^{j + 1}" for i in range(n) for j in range(k - 1)]
-    out = Graph.from_edges(n * (k - 1), edges)
+    _check_output_size("CONV", n * (k - 1), n * (k - 2) + comb(n, 2))
+    paths, edges, labels = _layout(0, n, k - 1)
+    edges += [(paths[a][0], paths[b][0]) for a, b in g.complement().edges()]
+    out = Graph.from_edges(len(labels), edges)
     return ReductionOutput(out, k, tuple(labels), ("conv_promise",), "conv")

@@ -6,6 +6,7 @@ import pytest
 from conftest import cycle, path
 from multipacking.cli import main
 from multipacking.formats import MAX_VERTICES, serialize_graph, serialize_vertex_set
+from multipacking.graph import Graph
 
 
 @pytest.fixture
@@ -119,6 +120,21 @@ def test_reduce_tds(tmp_path, p4_file, capsys):
     assert (tmp_path / "conv.claims").read_text() == "conv_promise\n"
     code = main(["reduce", "tds", p4_file, "--variant", "regular", "-k", "4", "--out", prefix])
     assert code == 3  # P4 is not cubic
+
+
+def test_reduce_tds_rejects_oversized_output(tmp_path, p4_file, capsys):
+    """Both TDS variants check their output size before building anything."""
+    ladder = tmp_path / "ladder.graph"  # the 60-vertex circular ladder, cubic
+    rungs = [(i, i + 30) for i in range(30)]
+    rims = [(r + i, r + (i + 1) % 30) for r in (0, 30) for i in range(30)]
+    ladder.write_text(serialize_graph(Graph.from_edges(60, rungs + rims)))
+    for graph, variant, k in ((p4_file, "conv", "1000000000"), (str(ladder), "regular", "4")):
+        start = time.perf_counter()
+        code = main(["reduce", "tds", graph, "--variant", variant, "-k", k, "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not (tmp_path / "x.graph").exists()
 
 
 def test_check(p4_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,24 @@ def test_total_domination():
     assert brute_force_min_tds(star(4)) == 2
     with pytest.raises(ValueError):
         brute_force_min_tds(Graph.from_edges(2, []))
+
+
+def test_min_tds_of_the_empty_graph_is_zero():
+    """The empty set total-dominates a graph with no vertices."""
+    assert brute_force_min_tds(Graph.from_edges(0, [])) == 0
+
+
+def test_brute_force_mp_keeps_only_the_best_set():
+    """Every subset of an edgeless graph is a multipacking (2^12 of them
+    here); the search must not hold them all."""
+    g = Graph.from_edges(12, [])
+    tracemalloc.start()
+    try:
+        assert brute_force_mp(g) == (12, tuple(range(12)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 def test_min_hitting_set():
