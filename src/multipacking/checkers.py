@@ -148,23 +148,39 @@ def regularity(g: Graph) -> Optional[int]:
 def hyperbolicity(g: Graph, D: Optional[DistanceMatrix] = None) -> Fraction:
     """Exact Gromov hyperbolicity by the four-point condition.
 
-    For each 4-set the contribution is half the difference between the two
-    larger of the three pairwise-distance sums; the maximum over all 4-sets
-    is returned as an exact half-integer.
+    For each 4-set {u, v, x, y} the three pairings give the distance sums
+    d(u,v)+d(x,y), d(u,x)+d(v,y) and d(u,y)+d(v,x); its contribution is
+    half the difference between the largest and the middle sum.  The
+    maximum over all C(n, 4) sets is returned as an exact half-integer.
     """
     if not is_connected(g):
         raise ValueError("hyperbolicity requires a connected graph")
-    if g.n < 4:
+    n = g.n
+    if n < 4:
         return Fraction(0)
-    if D is None:
-        D = all_pairs(g)
+    dist = (D if D is not None else all_pairs(g)).dist
     twice_best = 0
-    for u, v, x, y in itertools.combinations(range(g.n), 4):
-        s1 = D[u][v] + D[x][y]
-        s2 = D[u][x] + D[v][y]
-        s3 = D[u][y] + D[v][x]
-        a, b, c = sorted((s1, s2, s3))
-        twice = c - b
-        if twice > twice_best:
-            twice_best = twice
+    for u in range(n - 3):
+        du = dist[u]
+        for v in range(u + 1, n - 2):
+            dv = dist[v]
+            duv = du[v]
+            for x in range(v + 1, n - 1):
+                dx = dist[x]
+                dux = du[x]
+                dvx = dv[x]
+                for y in range(x + 1, n):
+                    s1 = duv + dx[y]
+                    s2 = dux + dv[y]
+                    if s1 < s2:
+                        s1, s2 = s2, s1
+                    s3 = du[y] + dvx
+                    if s3 >= s1:
+                        twice = s3 - s1
+                    elif s3 > s2:
+                        twice = s1 - s3
+                    else:
+                        twice = s1 - s2
+                    if twice > twice_best:
+                        twice_best = twice
     return Fraction(twice_best, 2)

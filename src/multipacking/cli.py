@@ -7,6 +7,7 @@ error (argparse default), 3 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -190,7 +191,13 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    Sharing is safe: `parse_args` returns a new namespace each time, and
+    `print_help`/`error` look up `sys.stdout`/`sys.stderr` when called.
+    """
     p = argparse.ArgumentParser(
         prog="multipacking",
         description="Exact multipacking solvers, reductions, and class checkers",

@@ -13,12 +13,14 @@ from multipacking.checkers import (
     lexbfs_order,
     regularity,
 )
-from multipacking.graph import Graph
+from multipacking.graph import Graph, all_pairs
 from multipacking.randgen import (
     random_connected_chordal,
     random_connected_graph,
+    random_hitting_set_instance,
     random_tree,
 )
+from multipacking.reductions import reduce_hs_half_hyperbolic
 
 
 def brute_is_chordal(g: Graph) -> bool:
@@ -163,6 +165,37 @@ def test_hyperbolicity_examples():
     assert isinstance(d, Fraction) and 2 * d == int(2 * d)
     with pytest.raises(ValueError):
         hyperbolicity(Graph.from_edges(5, []))
+
+
+def reference_hyperbolicity(g: Graph) -> Fraction:
+    """Reference four-point scan: sort the three pairing sums of every 4-set."""
+    D = all_pairs(g)
+    twice_best = 0
+    for u, v, x, y in itertools.combinations(range(g.n), 4):
+        s1 = D[u][v] + D[x][y]
+        s2 = D[u][x] + D[v][y]
+        s3 = D[u][y] + D[v][x]
+        a, b, c = sorted((s1, s2, s3))
+        twice_best = max(twice_best, c - b)
+    return Fraction(twice_best, 2)
+
+
+def test_hyperbolicity_matches_reference():
+    rng = random.Random(10)  # criterion 10's inputs, in its order
+    graphs = [random_tree(rng.randint(1, 14), rng) for _ in range(100)]
+    graphs.append(cycle(4))
+    graphs += [random_connected_chordal(rng.randint(1, 10), rng) for _ in range(200)]
+    rng = random.Random(41)
+    while len(graphs) < 340:
+        inst = random_hitting_set_instance(5, 5, 4, rng, k_min=3)
+        if inst.k <= inst.n:
+            graphs.append(reduce_hs_half_hyperbolic(inst).graph)
+    for _ in range(40):
+        graphs.append(random_connected_graph(rng.randint(4, 30), rng, rng.choice((0.05, 0.15, 0.4))))
+    for g in graphs:
+        delta = hyperbolicity(g)
+        assert isinstance(delta, Fraction)
+        assert delta == reference_hyperbolicity(g), g.adj
 
 
 def test_trees_are_zero_hyperbolic():

@@ -4,7 +4,8 @@ import time
 import pytest
 
 from conftest import cycle, path
-from multipacking.cli import main
+from multipacking import cli
+from multipacking.cli import build_parser, main
 from multipacking.formats import MAX_VERTICES, serialize_graph, serialize_vertex_set
 from multipacking.graph import Graph
 
@@ -174,3 +175,34 @@ def test_bench_family_reproducible(capsys):
     assert len(out1.splitlines()) == 6
     _, out2 = run(capsys, "bench", "family", "--trees", "5", "--max-n", "12", "--seed", "9")
     assert out1 == out2
+
+
+def test_shared_parser_keeps_no_state(p4_file, capsys, monkeypatch):
+    """The parser built once per process answers like a freshly built one."""
+    assert build_parser() is build_parser()
+    calls = (
+        ["solve", p4_file, "--json"],
+        ["solve", p4_file, "--algo", "nope"],
+        ["solve", "--help"],
+        ["solve", p4_file, "--json"],
+    )
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out, err = capsys.readouterr()
+            if argv[-1] == "--json":
+                out = json.loads(out)
+                del out["wall_time_s"]
+            seen.append((code, out, err))
+        return seen
+
+    shared = outcomes()
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert shared[0] == shared[3]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert outcomes() == shared
