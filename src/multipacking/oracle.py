@@ -7,6 +7,17 @@ maximum size first, then lexicographically smallest member tuple.
 One DFS, `_search`, visits every multipacking: `enumerate_multipackings`
 lists them (and `pathcount` reads the maximal sets from that list), while
 `brute_force_mp` keeps only the best one seen.
+
+The DFS tests each extension incrementally.  It extends only sets that are
+already multipackings, and adding a vertex v to M changes |N_r[c] ∩ M| only
+for the balls N_r[c] that contain v, i.e. r >= d(c, v); every other ball
+keeps its old count, which is already <= r.  Radii r >= |M ∪ {v}| are
+vacuous.  So the new set is a multipacking iff
+|N_r[c] ∩ (M ∪ {v})| <= r for every center c and every r with
+max(d(c, v), 1) <= r <= |M|, read off int-bitmask balls precomputed once
+per search.  These balls are the oracle's own; `is_multipacking` remains
+the definitional check of a whole set, and nothing here comes from the
+solver, so the two stay independent checkers.
 """
 
 from __future__ import annotations
@@ -55,22 +66,52 @@ def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
     sorted member tuples.
 
     Exploits downward closure: only extensions of multipackings are explored,
-    so the running time is polynomial in the output size.
+    so the running time is polynomial in the output size.  Since `cur` is a
+    multipacking, `cur + (v,)` can overfill only a ball that contains v, so
+    only the radii max(d(c, v), 1)..len(cur) of each center c are checked
+    (see the module docstring).
     """
     if g.n > cap:
         raise ValueError(f"n={g.n} exceeds cap {cap}")
     if D is None:
         D = all_pairs(g)
+    n = g.n
+    # balls[c][r] is the bitmask of N_r[c] for r = 0..n; an unreachable
+    # vertex sits at the sentinel distance n, beyond every radius checked.
+    balls = []
+    for c in range(n):
+        layers = [0] * (n + 1)
+        for u, d in enumerate(D[c]):
+            layers[d] |= 1 << u
+        rows, acc = [], 0
+        for layer in layers:
+            acc |= layer
+            rows.append(acc)
+        balls.append(rows)
+
+    def fits(v: int, new: int, size: int) -> bool:
+        """True iff no ball N_r[c] with max(d(c, v), 1) <= r < size holds
+        more than r members of `new`, the multipacking plus v (distances
+        are symmetric, so D[v][c] = d(c, v))."""
+        for c, d in enumerate(D[v]):
+            ball = balls[c]
+            for r in range(max(d, 1), size):
+                if (ball[r] & new).bit_count() > r:
+                    return False
+        return True
+
     visit(())
 
-    def extend(cur: tuple[int, ...], start: int) -> None:
-        for v in range(start, g.n):
-            cand = cur + (v,)
-            if is_multipacking(g, D, cand):
+    def extend(cur: tuple[int, ...], mask: int, start: int) -> None:
+        size = len(cur) + 1
+        for v in range(start, n):
+            new = mask | (1 << v)
+            if fits(v, new, size):
+                cand = cur + (v,)
                 visit(cand)
-                extend(cand, v + 1)
+                extend(cand, new, v + 1)
 
-    extend((), 0)
+    extend((), 0, 0)
 
 
 def enumerate_multipackings(

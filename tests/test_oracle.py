@@ -1,10 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from conftest import complete, cycle, path, star
-from multipacking.graph import Graph, all_pairs
+from multipacking.graph import Graph, all_pairs, is_connected
 from multipacking.oracle import (
     Broadcast,
     brute_force_gamma_b,
@@ -56,8 +57,6 @@ def test_enumerate_multipackings_downward_closed_and_lex():
             assert m[:i] + m[i + 1 :] in members
     # brute-force cross-check against the definition
     D = all_pairs(g)
-    import itertools
-
     expected = sum(
         1
         for size in range(g.n + 1)
@@ -65,6 +64,53 @@ def test_enumerate_multipackings_downward_closed_and_lex():
         if is_multipacking(g, D, s)
     )
     assert len(fam) == expected
+
+
+def _definitional_multipackings(g):
+    """Every subset of g that passes is_multipacking, in lexicographic order."""
+    D = all_pairs(g)
+    subsets = sorted(
+        s for size in range(g.n + 1) for s in itertools.combinations(range(g.n), size)
+    )
+    return [s for s in subsets if is_multipacking(g, D, s)]
+
+
+def _small_graphs():
+    """Every graph on n <= 5 vertices, the edgeless graphs with n <= 10, and
+    100 seeded random graphs with n <= 10, many disconnected or with
+    isolated vertices."""
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    for n in range(11):
+        yield Graph.from_edges(n, [])
+    rng = random.Random(12)
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        p = rng.choice([0.1, 0.2, 0.35, 0.6])
+        lone = rng.randrange(n) if rng.random() < 0.3 else None
+        edges = [
+            (a, b)
+            for a, b in itertools.combinations(range(n), 2)
+            if lone not in (a, b) and rng.random() < p
+        ]
+        yield Graph.from_edges(n, edges)
+
+
+def test_search_matches_the_definition_on_small_graphs():
+    """The DFS checks only the balls that contain the new vertex; it must
+    list exactly the subsets that the whole-set definition accepts, and
+    brute_force_mp must return the first largest of them."""
+    graphs = list(_small_graphs())
+    # beyond n = 5, the random part must still hold both awkward shapes
+    assert any(not is_connected(g) and all(g.adj) for g in graphs if g.n > 5)
+    assert any(not all(g.adj) and any(g.adj) for g in graphs if g.n > 5)
+    for g in graphs:
+        expected = _definitional_multipackings(g)
+        assert enumerate_multipackings(g) == expected, g.adj
+        best = max(expected, key=len)
+        assert brute_force_mp(g) == (len(best), best), g.adj
 
 
 def test_pick_best_tie_break():
