@@ -11,6 +11,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+# Equal adjacency rows are shared between graphs, so a process that holds
+# many graphs (reduction outputs, parsed instances) keeps one tuple per
+# distinct row.  The table is emptied before it would pass
+# _SHARED_ROWS_MAX rows, which bounds its memory; emptying it changes no
+# graph, only which later rows are shared.
+_SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
+_SHARED_ROWS_MAX = 1 << 14
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -33,7 +41,12 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        rows = [tuple(sorted(s)) for s in nbrs]
+        if n <= _SHARED_ROWS_MAX:
+            if len(_SHARED_ROWS) + n > _SHARED_ROWS_MAX:
+                _SHARED_ROWS.clear()
+            rows = [_SHARED_ROWS.setdefault(row, row) for row in rows]
+        return Graph(n, tuple(rows))
 
     @property
     def inf(self) -> int:

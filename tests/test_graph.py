@@ -27,6 +27,27 @@ def test_canonical_form_and_validation():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_equal_rows_are_shared_and_the_table_stays_bounded(monkeypatch):
+    import multipacking.graph as graph_module
+
+    a = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
+    b = Graph.from_edges(4, [(3, 0), (3, 1), (3, 2)])
+    assert a == b
+    assert all(ra is rb for ra, rb in zip(a.adj, b.adj))
+    assert a.adj[0] is a.adj[1] is a.adj[2]
+
+    monkeypatch.setattr(graph_module, "_SHARED_ROWS", {})
+    monkeypatch.setattr(graph_module, "_SHARED_ROWS_MAX", 8)
+    rng = random.Random(5)
+    for _ in range(50):
+        g = random_connected_graph(6, rng, 0.4)
+        assert len(graph_module._SHARED_ROWS) <= 8
+        assert Graph.from_edges(g.n, g.edges()) == g
+    big = Graph.from_edges(9, [(i, i + 1) for i in range(8)])
+    assert big == Graph(9, ((1,), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8), (7,)))
+    assert len(graph_module._SHARED_ROWS) <= 8
+
+
 def test_bfs_distances_examples():
     assert bfs_distances(path(4), 0) == [0, 1, 2, 3]
     assert bfs_distances(complete(3), 1) == [1, 0, 1]
