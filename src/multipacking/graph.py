@@ -11,12 +11,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-# Equal adjacency rows are shared between graphs, so a process that holds
-# many graphs (reduction outputs, parsed instances) keeps one tuple per
-# distinct row.  The table is emptied before it would pass
-# _SHARED_ROWS_MAX rows, which bounds its memory; emptying it changes no
-# graph, only which later rows are shared.
-_SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
+# Equal adjacency rows, and equal adjacencies, are shared between graphs,
+# so a process that holds many graphs (reduction outputs, parsed instances)
+# keeps one tuple per distinct row and per distinct graph.  The table is
+# emptied before it would pass _SHARED_ROWS_MAX entries, which bounds its
+# memory; emptying it changes no graph, only which later tuples are shared.
+_SHARED_ROWS: dict[tuple, tuple] = {}
 _SHARED_ROWS_MAX = 1 << 14
 
 
@@ -41,12 +41,13 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        rows = [tuple(sorted(s)) for s in nbrs]
-        if n <= _SHARED_ROWS_MAX:
-            if len(_SHARED_ROWS) + n > _SHARED_ROWS_MAX:
+        adj = tuple(tuple(sorted(s)) for s in nbrs)
+        if n < _SHARED_ROWS_MAX:
+            if len(_SHARED_ROWS) + n + 1 > _SHARED_ROWS_MAX:
                 _SHARED_ROWS.clear()
-            rows = [_SHARED_ROWS.setdefault(row, row) for row in rows]
-        return Graph(n, tuple(rows))
+            adj = tuple(_SHARED_ROWS.setdefault(row, row) for row in adj)
+            adj = _SHARED_ROWS.setdefault(adj, adj)
+        return Graph(n, adj)
 
     @property
     def inf(self) -> int:

@@ -8,16 +8,17 @@ One DFS, `_search`, visits every multipacking: `enumerate_multipackings`
 lists them (and `pathcount` reads the maximal sets from that list), while
 `brute_force_mp` keeps only the best one seen.
 
-The DFS tests each extension incrementally.  It extends only sets that are
-already multipackings, and adding a vertex v to M changes |N_r[c] ∩ M| only
-for the balls N_r[c] that contain v, i.e. r >= d(c, v); every other ball
-keeps its old count, which is already <= r.  Radii r >= |M ∪ {v}| are
-vacuous.  So the new set is a multipacking iff
-|N_r[c] ∩ (M ∪ {v})| <= r for every center c and every r with
-max(d(c, v), 1) <= r <= |M|, read off int-bitmask balls precomputed once
-per search.  These balls are the oracle's own; `is_multipacking` remains
-the definitional check of a whole set, and nothing here comes from the
-solver, so the two stay independent checkers.
+The DFS carries one mask per node.  For a multipacking M, blocked(M) is
+the union of the balls N_r[c], 1 <= r <= |M|, that already hold exactly r
+members of M.  Adding v changes only the counts of the balls that contain
+v, and no radius r > |M| can overfill, so M ∪ {v} is a multipacking iff v
+is not in blocked(M).  For M' = M ∪ {v}, a ball without v keeps its count
+(at most |M|, so never full at the new radius |M| + 1), and no ball with v
+was full for M.  So blocked(M') is blocked(M) plus the balls N_r[c] with
+max(d(c, v), 1) <= r <= |M| + 1 that hold exactly r members of M'.  These
+are the oracle's own int-bitmask balls, precomputed once per search;
+`is_multipacking` remains the definitional check of a whole set, and
+nothing here comes from the solver, so the two stay independent checkers.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    all_pairs,
-    is_connected,
-    radius_diameter,
-)
+from .graph import DistanceMatrix, Graph, all_pairs, is_connected, radius_diameter
 
 DEFAULT_MP_CAP = 22
 DEFAULT_GAMMA_CAP = 12
@@ -65,53 +60,56 @@ def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
     """Call visit on every multipacking of g, in lexicographic order of
     sorted member tuples.
 
-    Exploits downward closure: only extensions of multipackings are explored,
-    so the running time is polynomial in the output size.  Since `cur` is a
-    multipacking, `cur + (v,)` can overfill only a ball that contains v, so
-    only the radii max(d(c, v), 1)..len(cur) of each center c are checked
-    (see the module docstring).
+    Only extensions of multipackings are explored (they are downward
+    closed), so the running time is polynomial in the output size.  Each
+    node holds `free`: the vertices after its last member that are outside
+    blocked(cur) (see the module docstring), each an extension to accept.
     """
     if g.n > cap:
         raise ValueError(f"n={g.n} exceeds cap {cap}")
     if D is None:
         D = all_pairs(g)
     n = g.n
-    # balls[c][r] is the bitmask of N_r[c] for r = 0..n; an unreachable
-    # vertex sits at the sentinel distance n, beyond every radius checked.
-    balls = []
-    for c in range(n):
-        layers = [0] * (n + 1)
+    # balls[c][r] is the bitmask of N_r[c], r = 0..n; unreachable vertices sit
+    # at distance n, past every radius read (members, v and a free vertex < n).
+    balls = [[0] * (n + 1) for _ in range(n)]
+    for c, ball in enumerate(balls):
         for u, d in enumerate(D[c]):
-            layers[d] |= 1 << u
-        rows, acc = [], 0
-        for layer in layers:
-            acc |= layer
-            rows.append(acc)
-        balls.append(rows)
-
-    def fits(v: int, new: int, size: int) -> bool:
-        """True iff no ball N_r[c] with max(d(c, v), 1) <= r < size holds
-        more than r members of `new`, the multipacking plus v (distances
-        are symmetric, so D[v][c] = d(c, v))."""
-        for c, d in enumerate(D[v]):
-            ball = balls[c]
-            for r in range(max(d, 1), size):
-                if (ball[r] & new).bit_count() > r:
-                    return False
-        return True
+            ball[d] |= 1 << u
+        for r in range(1, n + 1):
+            ball[r] |= ball[r - 1]
+    # near[v] pairs the centers c, nearest first, with max(d(v, c), 1): the
+    # smallest radius at which N_r[c] holds v
+    near = [sorted((max(d, 1), c) for c, d in enumerate(D[v])) for v in range(n)]
+    near = [[(lo, balls[c]) for lo, c in row] for row in near]
 
     visit(())
 
-    def extend(cur: tuple[int, ...], mask: int, start: int) -> None:
+    def extend(cur: tuple[int, ...], members: int, free: int) -> None:
         size = len(cur) + 1
-        for v in range(start, n):
-            new = mask | (1 << v)
-            if fits(v, new, size):
-                cand = cur + (v,)
-                visit(cand)
-                extend(cand, new, v + 1)
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            cand = cur + (v,)
+            visit(cand)
+            if free:  # the child's free vertices are some of these
+                new, full = members | low, 0
+                for lo, ball in near[v]:
+                    if lo > size:
+                        break
+                    # counts grow with r but never pass it: a count k < r rules
+                    # out radii k+1..r, and the largest full ball holds the rest
+                    r = size
+                    while r >= lo:
+                        k = (ball[r] & new).bit_count()
+                        if k == r:
+                            full |= ball[r]
+                            break
+                        r = k
+                extend(cand, new, free & ~full)
 
-    extend((), 0, 0)
+    extend((), 0, (1 << n) - 1)
 
 
 def enumerate_multipackings(

@@ -33,6 +33,7 @@ def test_equal_rows_are_shared_and_the_table_stays_bounded(monkeypatch):
     a = Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)])
     b = Graph.from_edges(4, [(3, 0), (3, 1), (3, 2)])
     assert a == b
+    assert a.adj is b.adj
     assert all(ra is rb for ra, rb in zip(a.adj, b.adj))
     assert a.adj[0] is a.adj[1] is a.adj[2]
 

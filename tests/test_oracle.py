@@ -19,7 +19,13 @@ from multipacking.oracle import (
     is_total_dominating,
     pick_best,
 )
-from multipacking.randgen import random_connected_graph
+from multipacking.randgen import random_connected_graph, random_hitting_set_instance
+from multipacking.reductions import (
+    reduce_hs_bipartite,
+    reduce_hs_chordal,
+    reduce_hs_clawfree,
+    reduce_hs_half_hyperbolic,
+)
 
 
 def test_is_multipacking_examples():
@@ -111,6 +117,67 @@ def test_search_matches_the_definition_on_small_graphs():
         assert enumerate_multipackings(g) == expected, g.adj
         best = max(expected, key=len)
         assert brute_force_mp(g) == (len(best), best), g.adj
+
+
+def _reference_search(g):
+    """Every multipacking of g in DFS order, by the oracle's earlier check:
+    an extension cur + (v,) is accepted iff no ball N_r[c] with
+    max(d(c, v), 1) <= r <= len(cur) holds more than r of its members."""
+    D = all_pairs(g)
+    n = g.n
+    balls = [[sum(1 << u for u in range(n) if D[c][u] <= r) for r in range(n + 1)] for c in range(n)]
+    out = [()]
+
+    def extend(cur, mask, start):
+        for v in range(start, n):
+            new = mask | 1 << v
+            if all(
+                (balls[c][r] & new).bit_count() <= r
+                for c in range(n)
+                for r in range(max(D[v][c], 1), len(cur) + 1)
+            ):
+                out.append(cur + (v,))
+                extend(cur + (v,), new, v + 1)
+
+    extend((), 0, 0)
+    return out
+
+
+# (builder, k, universe size) in the benchmark's reduction slots; None keeps
+# randgen's own universe size
+HS_SLOTS = [
+    (reduce_hs_chordal, 4, 5),
+    (reduce_hs_half_hyperbolic, 4, 5),
+    (reduce_hs_bipartite, 4, 5),
+    (reduce_hs_clawfree, 4, 5),
+    (reduce_hs_chordal, 2, None),
+    (reduce_hs_half_hyperbolic, 3, 6),
+    (reduce_hs_bipartite, 2, None),
+    (reduce_hs_clawfree, 3, 6),
+]
+
+
+def _reduction_outputs(per_slot, seed):
+    rng = random.Random(seed)
+    for builder, k, n in HS_SLOTS * per_slot:
+        while True:
+            inst = random_hitting_set_instance(n or 6, 7, k, rng, k_min=k)
+            if inst.k <= inst.n and n in (None, inst.n):
+                break
+        yield builder(inst).graph
+
+
+def test_search_matches_the_reference_on_reduction_outputs():
+    """The blocked-mask DFS lists exactly what the per-candidate check
+    accepts, in the same order, on Hitting-Set reduction outputs of the
+    sizes the benchmark decides."""
+    graphs = list(_reduction_outputs(4, seed=3))
+    assert max(g.n for g in graphs) >= 34
+    for g in graphs:
+        expected = _reference_search(g)
+        assert enumerate_multipackings(g, cap=64) == expected, g.adj
+        best = max(expected, key=len)
+        assert brute_force_mp(g, cap=64) == (len(best), best), g.adj
 
 
 def test_pick_best_tie_break():
