@@ -8,12 +8,17 @@ rule (``split_162``) gives an O*(1.62^n) family; the gadget-aware rule
 (``split_158``) gives O*(1.58^n).
 
 The solve (``solve_detailed``) builds the family as int bitmasks with
-``family_packings``, which recurses on trees cut by O(1) mask surgery
-(``multipacking.rooted_tree``), drops every set with two vertices within
-distance 2 of G while it builds, and counts the full unpruned family size
-without materialising it.  Of the survivors, only a set that would beat the
-best so far (larger, or earlier in the tie-break) is checked against ball
-bitmasks of G precomputed once per component (``ball_masks``,
+``family_packings``, which branches on trees cut by O(1) mask surgery
+(``multipacking.rooted_tree``) and drops every set with two vertices within
+distance 2 of G while it builds.  A cut tree is identified by its ``alive``
+mask, and different branch paths reach the same mask, so the kernel runs in
+two passes over the distinct masks: a plan pass (``_plan``) calls the rule
+once per mask, records its step and its number of uses, and counts the full
+unpruned family size without materialising it (``family_count`` runs this
+pass alone); a build pass builds each pruned list once, shares it with every
+parent and frees it after its last use.  Of the survivors, only a set that
+would beat the best so far (larger, or earlier in the tie-break) is checked
+against ball bitmasks of G precomputed once per component (``ball_masks``,
 ``fits_balls``), which share no code with ``multipacking.oracle``, so
 comparing the solvers with the oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
@@ -142,6 +147,52 @@ def candidate_family_162(t: RootedTree) -> Family:
     return _reference_family(t, split_162, candidate_family_162)
 
 
+def _plan(t: RootedTree, split: Split) -> tuple[int, dict[int, tuple], dict[int, int]]:
+    """The plan pass: t's unpruned family size, the step of every state, and
+    how many times each state is used.
+
+    A state is a tree cut from t, keyed by its ``alive`` mask; each distinct
+    state calls ``split`` once.  Its step is ``(count, w, rest, without)``
+    for "sets with w over rest, plus sets over without", ``(count, None,
+    rest, spider)`` with the spider's multipackings as bitmasks, or
+    ``(count, None, None, None)`` at the base case.  Uses count one per
+    parent edge, and one for t itself.
+    """
+    steps: dict[int, tuple] = {}
+    uses: dict[int, int] = {}
+
+    def visit(t: RootedTree) -> int:
+        key = t.alive
+        if key in uses:
+            uses[key] += 1
+            return steps[key][0]
+        uses[key] = 1
+        step = split(t)
+        if step is None:
+            steps[key] = (t.n + 1, None, None, None)
+            return t.n + 1
+        w, top = step
+        rest = t.remove_subtree(top)
+        count = visit(rest)
+        if w is None:
+            spider = spider_masks(t, top)
+            count *= len(spider)
+            steps[key] = (count, None, rest.alive, spider)
+        else:
+            without = t.remove_leaf(w)
+            count += visit(without)
+            steps[key] = (count, w, rest.alive, without.alive)
+        return count
+
+    return visit(t), steps, uses
+
+
+def family_count(t: RootedTree, split: Split) -> int:
+    """The size of t's unpruned candidate family under ``split``, from the
+    plan pass alone: no family member is built."""
+    return _plan(t, split)[0]
+
+
 def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[list[int], int]:
     """The members of t's candidate family under ``split`` that have no two
     vertices u, v with bit v in ``near[u]``, as bitmasks; and the size of the
@@ -152,23 +203,41 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
     the radius-1 ball around a middle vertex holds both, and no superset of a
     pruned set is a multipacking either.  The count is exact without
     materialising the family because the branches are disjoint.
+
+    The branching is a DAG: different branch paths cut t down to the same
+    ``alive`` mask, whose list is then the same.  So the plan pass
+    (``_plan``) first finds every distinct state, its step and its number of
+    uses, calling ``split`` once per state.  The build pass then walks the
+    plan, builds each state's pruned list once, hands it to every parent,
+    and drops it from its table when the last use has taken it.
     """
-    step = split(t)
-    if step is None:
-        return [0] + [1 << v for v in t.vertices()], t.n + 1
-    w, top = step
-    rest, count = family_packings(t.remove_subtree(top), split, near)
-    if w is None:
-        spider = spider_masks(t, top)
-        # A member has at most two vertices, its lowest and its highest bit.
-        ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
-                for m in spider if m)
-        blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
-        kept = [m1 | m2 for m1 in rest for m2, block in blocks if not m1 & block]
-        return kept, count * len(spider)
-    bit, block = 1 << w, near[w]
-    without, count_without = family_packings(t.remove_leaf(w), split, near)
-    return [m | bit for m in rest if not m & block] + without, count + count_without
+    count, steps, uses = _plan(t, split)
+    lists: dict[int, list[int]] = {}
+
+    def build(key: int) -> list[int]:
+        uses[key] -= 1
+        if key in lists:
+            return lists[key] if uses[key] else lists.pop(key)
+        _, w, rest, other = steps[key]
+        if rest is None:
+            out = [0] + [1 << v for v in members(key)]
+        elif w is None:
+            # A member has at most two vertices, its lowest and its highest bit.
+            ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
+                    for m in other if m)
+            blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
+            out = [m1 | m2 for m1 in build(rest) for m2, block in blocks if not m1 & block]
+        else:
+            bit, block = 1 << w, near[w]
+            # The sets with w come first; building them before ``without``
+            # lets ``rest``'s list go before the other branch is built.
+            out = [m | bit for m in build(rest) if not m & block]
+            out += build(other)
+        if uses[key]:
+            lists[key] = out
+        return out
+
+    return build(t.alive), count
 
 
 class BallMasks(NamedTuple):

@@ -18,12 +18,14 @@ from multipacking.solver import (
     candidate_family_162,
     enumerate_h1,
     enumerate_h2,
+    family_count,
     family_packings,
     fits_balls,
     h2_roles,
     max_multipacking_158,
     max_multipacking_162,
     solve_detailed,
+    spider_masks,
     split_158,
     split_162,
 )
@@ -241,3 +243,63 @@ def test_relabeling_keeps_mp_and_matches_oracle():
         for algo in ("a158", "a162"):
             assert solve_detailed(h, algo)[:2] == expected
             assert solve_detailed(g, algo)[0] == expected[0]
+
+
+def _plain_family_packings(t, split, near):
+    """The family kernel as a plain recursion, before memoisation: every
+    branch path rebuilds the states it reaches."""
+    step = split(t)
+    if step is None:
+        return [0] + [1 << v for v in t.vertices()], t.n + 1
+    w, top = step
+    rest, count = _plain_family_packings(t.remove_subtree(top), split, near)
+    if w is None:
+        spider = spider_masks(t, top)
+        ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
+                for m in spider if m)
+        blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
+        kept = [m1 | m2 for m1 in rest for m2, block in blocks if not m1 & block]
+        return kept, count * len(spider)
+    bit, block = 1 << w, near[w]
+    without, count_without = _plain_family_packings(t.remove_leaf(w), split, near)
+    return [m | bit for m in rest if not m & block] + without, count + count_without
+
+
+def test_family_packings_equals_unmemoised_kernel_in_order():
+    rng = random.Random(73)
+    for i in range(60):
+        n = rng.randint(1, 22)
+        if i % 2:
+            g = random_tree(n, rng)
+        else:
+            g = random_connected_graph(n, rng, rng.choice((0.3, 0.1, 1 / n)))
+        t = bfs_tree(g, 0)
+        for near in ([0] * n, ball_masks(all_pairs(g)).near):
+            for split in (split_158, split_162):
+                assert family_packings(t, split, near) == _plain_family_packings(t, split, near)
+
+
+def test_count_pass_equals_family_size():
+    rng = random.Random(79)
+    for _ in range(200):
+        n = rng.randint(1, 20)
+        t = bfs_tree(random_tree(n, rng), 0)
+        for split in (split_158, split_162):
+            assert family_count(t, split) == family_packings(t, split, [0] * n)[1]
+
+
+def test_count_pass_on_paths_is_fibonacci():
+    # Under split_162 the family of P_n rooted at an end has F(n + 2) sets.
+    fib = [0, 1]
+    while len(fib) < 203:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 201):
+        assert family_count(bfs_tree(path(n), 0), split_162) == fib[n + 2], n
+
+
+def test_count_pass_keeps_158_bound_beyond_brute_force():
+    rng = random.Random(83)
+    for n in (40, 60, 100):
+        for _ in range(10):
+            count = family_count(bfs_tree(random_tree(n, rng), 0), split_158)
+            assert count ** (1.0 / n) <= 1.58, (n, count)
