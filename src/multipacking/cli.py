@@ -20,6 +20,7 @@ from .oracle import brute_force_mp, duality_report, enumerate_multipackings, is_
 from .rooted_tree import bfs_tree
 
 JSON_SCHEMA = "multipacking-report/1"
+BENCH_MAX_N = 200  # `bench family --max-n` bound; five n = 200 trees count in 0.3 s
 
 
 def _read(path: str) -> str:
@@ -182,6 +183,10 @@ def cmd_duality(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not 2 <= args.max_n <= BENCH_MAX_N:
+        raise ValueError(f"--max-n must be in 2..{BENCH_MAX_N}, got {args.max_n}")
+    if args.trees < 0:
+        raise ValueError(f"--trees must be >= 0, got {args.trees}")
     rng = random.Random(args.seed)
     print("n,family_size,growth")
     for _ in range(args.trees):

@@ -4,9 +4,13 @@ Everything here is exhaustive and independent of the candidate-family
 solvers, so it can arbitrate their answers.  Witness tie-break throughout:
 maximum size first, then lexicographically smallest member tuple.
 
-One DFS, `_search`, visits every multipacking: `enumerate_multipackings`
-lists them (and `pathcount` reads the maximal sets from that list), while
-`brute_force_mp` keeps only the best one seen.
+One DFS, `_search`, visits the multipackings in lexicographic order until
+a call of its `visit` returns a true value.  `enumerate_multipackings`
+never stops it and lists them all (`pathcount` reads the maximal sets from
+that list); `brute_force_mp` keeps only the best set seen and stops once
+its size reaches the sum over components of max(1, rad), which bounds MP
+(MP <= gamma_b <= rad per component).  The first set of a new largest size
+is the lexicographically smallest of that size, so that set is the witness.
 
 The DFS carries one mask per node.  For a multipacking M, blocked(M) is
 the union of the balls N_r[c], 1 <= r <= |M|, that already hold exactly r
@@ -27,7 +31,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import DistanceMatrix, Graph, all_pairs, is_connected, radius_diameter
+from .graph import DistanceMatrix, Graph, all_pairs, connected_components
+from .graph import is_connected, radius_diameter
 
 DEFAULT_MP_CAP = 22
 DEFAULT_GAMMA_CAP = 12
@@ -58,7 +63,7 @@ def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool
 
 def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
     """Call visit on every multipacking of g, in lexicographic order of
-    sorted member tuples.
+    sorted member tuples, until a call of visit returns a true value.
 
     Only extensions of multipackings are explored (they are downward
     closed), so the running time is polynomial in the output size.  Each
@@ -79,20 +84,32 @@ def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
         for r in range(1, n + 1):
             ball[r] |= ball[r - 1]
     # near[v] pairs the centers c, nearest first, with max(d(v, c), 1): the
-    # smallest radius at which N_r[c] holds v
-    near = [sorted((max(d, 1), c) for c, d in enumerate(D[v])) for v in range(n)]
-    near = [[(lo, balls[c]) for lo, c in row] for row in near]
+    # smallest radius at which N_r[c] holds v.  Distances are symmetric, so
+    # the centers at radius lo are the bits that v's own ball gains at lo.
+    every = (1 << n) - 1
+    near = [[] for _ in range(n)]
+    for row, ball in zip(near, balls):
+        seen, lo = 0, 1
+        while seen != every:
+            layer, seen = ball[lo] & ~seen, ball[lo]
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                row.append((lo, balls[low.bit_length() - 1]))
+            lo += 1
 
-    visit(())
+    if visit(()):
+        return
 
-    def extend(cur: tuple[int, ...], members: int, free: int) -> None:
+    def extend(cur: tuple[int, ...], members: int, free: int) -> bool:
         size = len(cur) + 1
         while free:
             low = free & -free
             free ^= low
             v = low.bit_length() - 1
             cand = cur + (v,)
-            visit(cand)
+            if visit(cand):
+                return True
             if free:  # the child's free vertices are some of these
                 new, full = members | low, 0
                 for lo, ball in near[v]:
@@ -107,9 +124,11 @@ def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
                             full |= ball[r]
                             break
                         r = k
-                extend(cand, new, free & ~full)
+                if extend(cand, new, free & ~full):
+                    return True
+        return False
 
-    extend((), 0, (1 << n) - 1)
+    extend((), 0, every)
 
 
 def enumerate_multipackings(
@@ -139,14 +158,29 @@ def brute_force_mp(
     """Exact MP(G) with the lexicographically smallest maximum witness.
 
     Keeps only the best set: the search runs in lexicographic order, so the
-    first set of each new largest size is the witness.
+    first set of each new largest size is the witness.  The search ends once
+    that size reaches the sum over components of max(1, rad): on each
+    component MP <= gamma_b <= rad (a single vertex has MP 1), and MP of a
+    disjoint union is the sum over its parts, so no larger set exists.
     """
+    if g.n > cap:  # before all_pairs, as in _search
+        raise ValueError(f"n={g.n} exceeds cap {cap}")
+    if D is None:
+        D = all_pairs(g)
+    n = g.n
+    ecc = [max(D[v]) for v in range(n)]
+    comps = [range(n)] if n else []
+    if n in ecc:  # disconnected: eccentricities within each component
+        ecc = [max(filter(n.__gt__, D[v])) for v in range(n)]
+        comps = connected_components(g)
+    bound = sum(max(1, min(ecc[v] for v in c)) for c in comps)
     best: tuple[int, ...] = ()
 
-    def keep(s: tuple[int, ...]) -> None:
+    def keep(s: tuple[int, ...]) -> bool:
         nonlocal best
         if len(s) > len(best):
             best = s
+        return len(best) >= bound
 
     _search(g, D, cap, keep)
     return len(best), best

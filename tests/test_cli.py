@@ -177,6 +177,40 @@ def test_bench_family_reproducible(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trees", "3", "--max-n", "1"],
+        ["--trees", "3", "--max-n", "201"],
+        ["--trees", "3", "--max-n", "1500"],
+        ["--trees", "-1", "--max-n", "10"],
+    ],
+)
+def test_bench_family_rejects_out_of_range_arguments(capsys, argv):
+    """Bad bounds exit 3 with one input error line, before the CSV header."""
+    t0 = time.perf_counter()
+    code = main(["bench", "family", "--seed", "1", *argv])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: --")
+    assert elapsed < 1
+
+
+def test_solve_brute_on_the_edgeless_graph_at_the_cap(tmp_path, capsys):
+    """Every subset of the edgeless graph is a multipacking; the oracle stops
+    at its first set of the radius bound's size (here n), not after 2^22."""
+    f = tmp_path / "e22.graph"
+    f.write_text("22 0\n")
+    t0 = time.perf_counter()
+    code, out = run(capsys, "solve", str(f), "--algo", "brute")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert "mp         22" in out
+    assert "witness    " + " ".join(map(str, range(22))) in out
+
+
 def test_shared_parser_keeps_no_state(p4_file, capsys, monkeypatch):
     """The parser built once per process answers like a freshly built one."""
     assert build_parser() is build_parser()

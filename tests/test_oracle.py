@@ -5,9 +5,17 @@ import tracemalloc
 import pytest
 
 from conftest import complete, cycle, path, star
-from multipacking.graph import Graph, all_pairs, is_connected
+from multipacking.graph import (
+    Graph,
+    all_pairs,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    radius_diameter,
+)
 from multipacking.oracle import (
     Broadcast,
+    _search,
     brute_force_gamma_b,
     brute_force_min_hs,
     brute_force_min_tds,
@@ -180,6 +188,84 @@ def test_search_matches_the_reference_on_reduction_outputs():
         assert brute_force_mp(g, cap=64) == (len(best), best), g.adj
 
 
+def test_search_stops_at_the_first_true_visit():
+    """A visit that returns a true value on its k-th call ends the search
+    after exactly k calls, at the root (k = 1) as at every later node."""
+    g = path(7)
+    every = enumerate_multipackings(g)
+    assert len(every) > 10
+    for k in range(1, len(every) + 1):
+        seen = []
+
+        def visit(s):
+            seen.append(s)
+            return len(seen) == k
+
+        _search(g, None, 22, visit)
+        assert seen == every[:k]
+
+
+def _radius_bound(g):
+    """Sum over the components of max(1, rad), each component taken alone."""
+    total = 0
+    for comp in connected_components(g):
+        h, _ = induced_subgraph(g, comp)
+        total += max(1, radius_diameter(h, all_pairs(h))[0])
+    return total
+
+
+def _assert_first_largest(g):
+    """brute_force_mp is the first largest set that the full listing holds;
+    returns that set's size."""
+    every = enumerate_multipackings(g)
+    best = max(every, key=len)
+    assert brute_force_mp(g) == (len(best), best), g.adj
+    return len(best)
+
+
+def test_brute_force_mp_when_the_radius_bound_is_not_tight():
+    """brute_force_mp stops only at the bound; below it the search runs on
+    and must still return the first largest set."""
+    for n in range(7, 13):  # MP(C_n) = floor(n/3) < floor(n/2) = rad
+        assert _assert_first_largest(cycle(n)) == n // 3 < _radius_bound(cycle(n))
+    rng = random.Random(15)
+    loose = 0
+    for _ in range(80):
+        g = random_connected_graph(rng.randint(6, 13), rng, rng.choice([0.05, 0.15, 0.3]))
+        loose += _assert_first_largest(g) < _radius_bound(g)
+    assert loose >= 5
+
+
+def test_brute_force_mp_on_disconnected_graphs_with_isolated_vertices():
+    """An isolated vertex is a component with rad 0 and adds max(1, 0) = 1
+    to the bound; its vertex ids are spread among the other components'."""
+    rng = random.Random(16)
+    tight = 0
+    for _ in range(60):
+        parts = [random_connected_graph(rng.randint(2, 7), rng) for _ in range(rng.randint(1, 2))]
+        parts += [Graph.from_edges(1, [])] * rng.randint(1, 3)
+        n = sum(h.n for h in parts)
+        label = list(range(n))
+        rng.shuffle(label)
+        edges, base = [], 0
+        for h in parts:
+            edges += [(label[base + u], label[base + v]) for u, v in h.edges()]
+            base += h.n
+        g = Graph.from_edges(n, edges)
+        assert not all(g.adj) and not is_connected(g)
+        tight += _assert_first_largest(g) == _radius_bound(g)
+    assert 10 <= tight < 60
+
+
+def test_radius_bound_holds_on_the_criterion_1_graphs(trees_up_to_9):
+    """MP <= sum over components of max(1, rad) on the trees with n <= 9
+    and the 1000 seeded random graphs of criterion 1."""
+    from test_acceptance import random_graph_batch
+
+    for g in trees_up_to_9 + random_graph_batch():
+        assert max(map(len, enumerate_multipackings(g))) <= _radius_bound(g), g.adj
+
+
 def test_pick_best_tie_break():
     assert pick_best([(2,), (0, 3), (1, 3)]) == (2, (0, 3))
     assert pick_best([()]) == (0, ())
@@ -214,15 +300,22 @@ def test_min_tds_of_the_empty_graph_is_zero():
 
 def test_brute_force_mp_keeps_only_the_best_set():
     """Every subset of an edgeless graph is a multipacking (2^12 of them
-    here); the search must not hold them all."""
-    g = Graph.from_edges(12, [])
-    tracemalloc.start()
-    try:
-        assert brute_force_mp(g) == (12, tuple(range(12)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * 2**20
+    here); the search must not hold them all.  The edgeless graph reaches
+    the radius bound at its first 12-set, so a C7 is added as well: MP 14
+    stays below the bound 15, and all 15 * 2^12 sets are visited."""
+    c7 = [(i, (i + 1) % 7) for i in range(7)]
+    cases = [
+        (Graph.from_edges(12, []), (12, tuple(range(12)))),
+        (Graph.from_edges(19, c7), (14, (0, 3) + tuple(range(7, 19)))),
+    ]
+    for g, expected in cases:
+        tracemalloc.start()
+        try:
+            assert brute_force_mp(g) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
 
 
 def test_min_hitting_set():
