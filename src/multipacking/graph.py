@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 # Equal adjacency rows, and equal adjacencies, are shared between graphs,
@@ -155,6 +156,44 @@ def connected_components(g: Graph) -> list[list[int]]:
                     queue.append(v)
         comps.append(sorted(comp))
     return comps
+
+
+def biconnected_blocks(g: Graph) -> list[list[int]]:
+    """Sorted vertex lists of the blocks (biconnected components) with an edge.
+
+    Hopcroft–Tarjan on an explicit stack, so long paths do not recurse.  A
+    bridge is a 2-vertex block; an isolated vertex lies in no block.
+    """
+    disc = [0] * g.n  # discovery times from 1; 0 = not reached yet
+    low = [0] * g.n
+    clock = count(1)
+    blocks: list[list[int]] = []
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = next(clock)
+        trail = [root]  # reached vertices not yet closed into a block
+        frames = [(root, iter(g.adj[root]))]
+        while frames:
+            v, nbrs = frames[-1]
+            for w in nbrs:
+                if not disc[w]:
+                    disc[w] = low[w] = next(clock)
+                    trail.append(w)
+                    frames.append((w, iter(g.adj[w])))
+                    break
+                low[v] = min(low[v], disc[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # u cuts v's subtree off: close its block
+                        block = [u]
+                        while block[-1] != v:
+                            block.append(trail.pop())
+                        blocks.append(sorted(block))
+    return blocks
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:

@@ -13,7 +13,7 @@ from multipacking.checkers import (
     lexbfs_order,
     regularity,
 )
-from multipacking.graph import Graph, all_pairs
+from multipacking.graph import Graph, all_pairs, biconnected_blocks
 from multipacking.randgen import (
     random_connected_chordal,
     random_connected_graph,
@@ -180,6 +180,37 @@ def reference_hyperbolicity(g: Graph) -> Fraction:
     return Fraction(twice_best, 2)
 
 
+def whole_graph_hyperbolicity(g: Graph) -> Fraction:
+    """Reference four-point scan over all C(n, 4) sets of V, ignoring blocks."""
+    n = g.n
+    dist = all_pairs(g).dist
+    twice_best = 0
+    for u in range(n - 3):
+        du = dist[u]
+        for v in range(u + 1, n - 2):
+            dv = dist[v]
+            duv = du[v]
+            for x in range(v + 1, n - 1):
+                dx = dist[x]
+                dux = du[x]
+                dvx = dv[x]
+                for y in range(x + 1, n):
+                    s1 = duv + dx[y]
+                    s2 = dux + dv[y]
+                    if s1 < s2:
+                        s1, s2 = s2, s1
+                    s3 = du[y] + dvx
+                    if s3 >= s1:
+                        twice = s3 - s1
+                    elif s3 > s2:
+                        twice = s1 - s3
+                    else:
+                        twice = s1 - s2
+                    if twice > twice_best:
+                        twice_best = twice
+    return Fraction(twice_best, 2)
+
+
 def test_hyperbolicity_matches_reference():
     rng = random.Random(10)  # criterion 10's inputs, in its order
     graphs = [random_tree(rng.randint(1, 14), rng) for _ in range(100)]
@@ -209,3 +240,47 @@ def test_chordal_graphs_at_most_one_hyperbolic():
     for _ in range(25):
         g = random_connected_chordal(rng.randint(4, 11), rng)
         assert hyperbolicity(g) <= 1
+
+
+def two_cycles(a: int, b: int, link: int) -> Graph:
+    """C_a and C_b joined by a path of ``link`` edges (0: glued at a vertex)."""
+    start = a - 1 + link  # first vertex of C_b, the far end of the path
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(i, i + 1) for i in range(a - 1, start)]
+    edges += [(start + i, start + (i + 1) % b) for i in range(b)]
+    return Graph.from_edges(start + b, edges)
+
+
+def random_cactus(rng: random.Random, pieces: int) -> Graph:
+    """Pendant edges and cycles of length 3..8 hung on random earlier vertices."""
+    n, edges = 1, []
+    for _ in range(pieces):
+        ring = [rng.randrange(n)] + list(range(n, n + rng.randint(1, 7)))
+        n = ring[-1] + 1
+        edges += list(zip(ring, ring[1:]))
+        if len(ring) > 2:
+            edges.append((ring[-1], ring[0]))
+    return Graph.from_edges(n, edges)
+
+
+def test_hyperbolicity_is_the_maximum_over_the_blocks():
+    graphs = []
+    for a in range(4, 10):
+        for b in range(4, 10):
+            g = two_cycles(a, b, link=0 if (a + b) % 2 else 2)
+            assert hyperbolicity(g) == max(reference_hyperbolicity(cycle(a)), reference_hyperbolicity(cycle(b)))
+            graphs.append(g)
+    rng = random.Random(23)
+    graphs += [random_cactus(rng, rng.randint(3, 8)) for _ in range(25)]
+    graphs += [random_connected_graph(rng.randint(4, 30), rng, 0.05) for _ in range(25)]
+    outputs = []
+    while len(outputs) < 40:
+        inst = random_hitting_set_instance(5, 5, 4, rng, k_min=3)
+        if inst.k <= inst.n:
+            outputs.append(reduce_hs_half_hyperbolic(inst).graph)
+    graphs += outputs
+    several = 0
+    for g in graphs:
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == reference_hyperbolicity(g), g.adj
+        several += sum(len(b) >= 4 for b in biconnected_blocks(g)) >= 2
+    assert 3 * several >= len(graphs)

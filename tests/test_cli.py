@@ -152,6 +152,28 @@ def test_check(p4_file, tmp_path, capsys):
     assert code == 2
 
 
+def c5_chain(links: int) -> Graph:
+    """``links`` copies of C5 in a row, each sharing one cut vertex with the next."""
+    edges = []
+    for i in range(links):
+        ring = list(range(4 * i, 4 * i + 5))
+        edges += [(ring[j], ring[(j + 1) % 5]) for j in range(5)]
+    return Graph.from_edges(4 * links + 1, edges)
+
+
+@pytest.mark.parametrize("g, delta", [(path(1000), "0"), (c5_chain(50), "1/2")])
+def test_check_hyperbolicity_reaches_long_block_chains(tmp_path, capsys, g, delta):
+    """The scan visits each block alone; over all of V a 1000-vertex path
+    would be C(1000, 4), about 4e10, four-sets."""
+    f = tmp_path / "g.graph"
+    f.write_text(serialize_graph(g))
+    t0 = time.perf_counter()
+    code, out = run(capsys, "check", str(f), "--props", "hyperbolicity")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert out.split() == ["hyperbolicity", "true", "delta", "=", delta]
+
+
 def test_count(capsys):
     code, out = run(capsys, "count", "paths", "-n", "5")
     assert code == 0

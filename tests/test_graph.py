@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from conftest import complete, cycle, path, star
@@ -8,6 +9,7 @@ from multipacking.graph import (
     all_pairs,
     ball,
     bfs_distances,
+    biconnected_blocks,
     connected_components,
     induced_subgraph,
     radius_diameter,
@@ -141,3 +143,45 @@ def test_components_and_induced():
     assert connected_components(g) == [[0, 1], [2], [3, 4]]
     sub, old = induced_subgraph(g, [3, 4])
     assert old == [3, 4] and sub.adj == ((1,), (0,))
+
+
+def block_sets(g: Graph) -> set[frozenset[int]]:
+    return {frozenset(b) for b in biconnected_blocks(g)}
+
+
+def networkx_blocks(g: Graph) -> set[frozenset[int]]:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return {frozenset(b) for b in nx.biconnected_components(h)}
+
+
+def test_biconnected_blocks_match_networkx_on_the_atlas():
+    count = 0
+    for h in nx.graph_atlas_g()[1:]:
+        if not nx.is_connected(h):
+            continue
+        g = Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        blocks = biconnected_blocks(g)
+        assert all(b == sorted(b) for b in blocks)
+        assert block_sets(g) == networkx_blocks(g), g.adj
+        count += 1
+    assert count == 996  # connected graphs with 1 <= n <= 7
+
+
+def test_biconnected_blocks_match_networkx_on_random_graphs():
+    rng = random.Random(31)
+    disconnected = 0
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.02, 0.05, 0.1, 0.2, 0.5))
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        disconnected += len(connected_components(g)) > 1
+        assert block_sets(g) == networkx_blocks(g), g.adj
+    assert disconnected >= 50
+
+
+def test_biconnected_blocks_of_a_long_path_do_not_recurse():
+    blocks = biconnected_blocks(path(5000))
+    assert len(blocks) == 4999
+    assert sorted(blocks) == [[i, i + 1] for i in range(4999)]
