@@ -2,7 +2,9 @@
 
 Positive witnesses re-verify (perfect elimination ordering, bipartition,
 ...); negative witnesses exhibit the violation (chordless cycle, odd walk,
-induced claw).  Hyperbolicity is computed in exact half-integers.
+induced claw).  Hyperbolicity is computed in exact half-integers from
+distances found by BFS inside each biconnected block, never from all n²
+distances of the graph.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional
 
-from .graph import DistanceMatrix, Graph, all_pairs, biconnected_blocks, is_connected
+from .graph import Graph, all_pairs, biconnected_blocks, induced_subgraph, is_connected
 
 
 def lexbfs_order(g: Graph) -> list[int]:
@@ -145,7 +147,7 @@ def regularity(g: Graph) -> Optional[int]:
     return degs.pop() if len(degs) == 1 else None
 
 
-def hyperbolicity(g: Graph, D: Optional[DistanceMatrix] = None) -> Fraction:
+def hyperbolicity(g: Graph) -> Fraction:
     """Exact Gromov hyperbolicity by the four-point condition, block by block.
 
     For each 4-set {u, v, x, y} the three pairings give the distance sums
@@ -154,20 +156,18 @@ def hyperbolicity(g: Graph, D: Optional[DistanceMatrix] = None) -> Fraction:
     value is the maximum over its biconnected blocks, and each block is an
     isometric subgraph (Cohen, Coudert and Lancin, "On computing the Gromov
     hyperbolicity"), so each block with >= 4 vertices is scanned alone on
-    G's distances: sum of C(|B|, 4) sets, not C(n, 4).  The maximum is
-    returned as an exact half-integer.
+    its own BFS distances: sum of C(|B|, 4) sets, not C(n, 4), and sum of
+    |B|² distances, not n².  The maximum is returned as an exact
+    half-integer.
     """
     if not is_connected(g):
         raise ValueError("hyperbolicity requires a connected graph")
-    if g.n < 4:
-        return Fraction(0)
-    full = (D if D is not None else all_pairs(g)).dist
     twice_best = 0
     for block in biconnected_blocks(g):
         n = len(block)
         if n < 4:
             continue
-        dist = [[full[a][b] for b in block] for a in block]
+        dist = all_pairs(induced_subgraph(g, block)[0])
         for u in range(n - 3):
             du = dist[u]
             for v in range(u + 1, n - 2):

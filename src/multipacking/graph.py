@@ -1,8 +1,9 @@
 """Undirected simple graphs with BFS-based metric helpers.
 
-Vertices are dense integer ids 0..n-1.  Distances use the sentinel value
-``n`` (an impossible finite hop count) for unreachable pairs, so hot loops
-never deal with optionals.
+Vertices are dense integer ids 0..n-1, and a vertex set is an int bitmask
+(bit v for vertex v; ``members`` lists its vertices).  Distances are plain
+rows, ``D[u][v]``, with the sentinel value ``n`` (an impossible finite hop
+count) for unreachable pairs, so hot loops never deal with optionals.
 """
 
 from __future__ import annotations
@@ -77,15 +78,18 @@ class Graph:
         return Graph.from_edges(self.n, edges)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; entries for disconnected pairs equal ``n``."""
+# All-pairs hop distances, one row per vertex; disconnected pairs read ``n``.
+DistanceMatrix = tuple[tuple[int, ...], ...]
 
-    n: int
-    dist: tuple[tuple[int, ...], ...]
 
-    def __getitem__(self, v: int) -> tuple[int, ...]:
-        return self.dist[v]
+def members(mask: int) -> list[int]:
+    """The set bits of ``mask`` as ascending vertex ids."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -106,7 +110,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix(g.n, tuple(tuple(bfs_distances(g, s)) for s in range(g.n)))
+    return tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
 
 
 def is_connected(g: Graph) -> bool:
@@ -131,10 +135,9 @@ def radius_diameter(g: Graph, D: DistanceMatrix) -> tuple[int, int]:
 
 def ball(D: DistanceMatrix, v: int, r: int) -> tuple[int, ...]:
     """Closed ball: all vertices at distance <= r from v."""
-    if not 0 <= v < D.n:
+    if not 0 <= v < len(D):
         raise ValueError(f"vertex {v} out of range")
-    row = D[v]
-    return tuple(u for u in range(D.n) if row[u] <= r)
+    return tuple(u for u, d in enumerate(D[v]) if d <= r)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

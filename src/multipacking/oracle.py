@@ -4,17 +4,21 @@ Everything here is exhaustive and independent of the candidate-family
 solvers, so it can arbitrate their answers.  Witness tie-break throughout:
 maximum size first, then lexicographically smallest member tuple.
 
-One DFS, `_search`, visits the multipackings in lexicographic order until
-a call of its `visit` returns a true value.  `enumerate_multipackings`
-never stops it and lists them all (`pathcount` reads the maximal sets from
-that list); `brute_force_mp` keeps only the best set seen and stops once
-its size reaches the sum over components of max(1, rad), which bounds MP
+Each public entry point checks its vertex cap first, then computes the
+distances it reads with `all_pairs`.  One DFS, `_search`, visits the
+multipackings in lexicographic order of sorted member tuples, passing
+`visit` each one as an int bitmask, until a call of `visit` returns a true
+value.  `enumerate_multipackings` never stops it and lists them all as
+sorted tuples (`pathcount` reads the maximal sets from that list);
+`brute_force_mp` keeps only the best mask seen and stops once its size
+reaches the sum over components of max(1, rad), which bounds MP
 (MP <= gamma_b <= rad per component).  The first set of a new largest size
 is the lexicographically smallest of that size, so that set is the witness.
 
-The DFS carries one mask per node.  For a multipacking M, blocked(M) is
-the union of the balls N_r[c], 1 <= r <= |M|, that already hold exactly r
-members of M.  Adding v changes only the counts of the balls that contain
+Each DFS node holds two masks: its members M, and the vertices after its
+last member that lie outside blocked(M).  For a multipacking M, blocked(M)
+is the union of the balls N_r[c], 1 <= r <= |M|, that already hold exactly
+r members of M.  Adding v changes only the counts of the balls that contain
 v, and no radius r > |M| can overfill, so M ∪ {v} is a multipacking iff v
 is not in blocked(M).  For M' = M ∪ {v}, a ball without v keeps its count
 (at most |M|, so never full at the new radius |M| + 1), and no ball with v
@@ -32,10 +36,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import DistanceMatrix, Graph, all_pairs, connected_components
-from .graph import is_connected, radius_diameter
+from .graph import is_connected, members, radius_diameter
 
 DEFAULT_MP_CAP = 22
 DEFAULT_GAMMA_CAP = 12
+
+
+def _check_cap(n: int, cap: int) -> None:
+    """Refuse graphs above the vertex cap before any distances are computed."""
+    if n > cap:
+        raise ValueError(f"n={n} exceeds cap {cap}")
 
 
 def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool:
@@ -61,19 +71,16 @@ def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool
     return True
 
 
-def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
-    """Call visit on every multipacking of g, in lexicographic order of
-    sorted member tuples, until a call of visit returns a true value.
+def _search(g: Graph, D: DistanceMatrix, visit) -> None:
+    """Call visit on the member bitmask of every multipacking of g, in
+    lexicographic order of sorted member tuples, until a call of visit
+    returns a true value.
 
     Only extensions of multipackings are explored (they are downward
     closed), so the running time is polynomial in the output size.  Each
     node holds `free`: the vertices after its last member that are outside
     blocked(cur) (see the module docstring), each an extension to accept.
     """
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds cap {cap}")
-    if D is None:
-        D = all_pairs(g)
     n = g.n
     # balls[c][r] is the bitmask of N_r[c], r = 0..n; unreachable vertices sit
     # at distance n, past every radius read (members, v and a free vertex < n).
@@ -98,21 +105,21 @@ def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
                 row.append((lo, balls[low.bit_length() - 1]))
             lo += 1
 
-    if visit(()):
+    if visit(0):
         return
 
-    def extend(cur: tuple[int, ...], members: int, free: int) -> bool:
-        size = len(cur) + 1
+    def extend(cur: int, size: int, free: int) -> bool:
+        """Visit each child cur | {v}, v in free ascending, and its subtree;
+        size is the children's member count."""
         while free:
             low = free & -free
             free ^= low
-            v = low.bit_length() - 1
-            cand = cur + (v,)
-            if visit(cand):
+            new = cur | low
+            if visit(new):
                 return True
             if free:  # the child's free vertices are some of these
-                new, full = members | low, 0
-                for lo, ball in near[v]:
+                full = 0
+                for lo, ball in near[low.bit_length() - 1]:
                     if lo > size:
                         break
                     # counts grow with r but never pass it: a count k < r rules
@@ -124,20 +131,19 @@ def _search(g: Graph, D: Optional[DistanceMatrix], cap: int, visit) -> None:
                             full |= ball[r]
                             break
                         r = k
-                if extend(cand, new, free & ~full):
+                if extend(new, size + 1, free & ~full):
                     return True
         return False
 
-    extend((), 0, every)
+    extend(0, 1, every)
 
 
-def enumerate_multipackings(
-    g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_MP_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_multipackings(g: Graph, cap: int = DEFAULT_MP_CAP) -> list[tuple[int, ...]]:
     """All multipackings of g, in lexicographic order of sorted member tuples."""
-    out: list[tuple[int, ...]] = []
-    _search(g, D, cap, out.append)
-    return out
+    _check_cap(g.n, cap)
+    masks: list[int] = []
+    _search(g, all_pairs(g), masks.append)
+    return [tuple(members(m)) for m in masks]
 
 
 def pick_best(sets: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
@@ -152,9 +158,7 @@ def pick_best(sets: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
     return len(best), best
 
 
-def brute_force_mp(
-    g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_MP_CAP
-) -> tuple[int, tuple[int, ...]]:
+def brute_force_mp(g: Graph, cap: int = DEFAULT_MP_CAP) -> tuple[int, tuple[int, ...]]:
     """Exact MP(G) with the lexicographically smallest maximum witness.
 
     Keeps only the best set: the search runs in lexicographic order, so the
@@ -163,10 +167,8 @@ def brute_force_mp(
     component MP <= gamma_b <= rad (a single vertex has MP 1), and MP of a
     disjoint union is the sum over its parts, so no larger set exists.
     """
-    if g.n > cap:  # before all_pairs, as in _search
-        raise ValueError(f"n={g.n} exceeds cap {cap}")
-    if D is None:
-        D = all_pairs(g)
+    _check_cap(g.n, cap)
+    D = all_pairs(g)
     n = g.n
     ecc = [max(D[v]) for v in range(n)]
     comps = [range(n)] if n else []
@@ -174,16 +176,17 @@ def brute_force_mp(
         ecc = [max(filter(n.__gt__, D[v])) for v in range(n)]
         comps = connected_components(g)
     bound = sum(max(1, min(ecc[v] for v in c)) for c in comps)
-    best: tuple[int, ...] = ()
+    best, best_size = 0, 0
 
-    def keep(s: tuple[int, ...]) -> bool:
-        nonlocal best
-        if len(s) > len(best):
-            best = s
-        return len(best) >= bound
+    def keep(s: int) -> bool:
+        nonlocal best, best_size
+        size = s.bit_count()
+        if size > best_size:
+            best, best_size = s, size
+        return best_size >= bound
 
-    _search(g, D, cap, keep)
-    return len(best), best
+    _search(g, D, keep)
+    return best_size, tuple(members(best))
 
 
 def is_total_dominating(g: Graph, S: Sequence[int]) -> bool:
@@ -192,21 +195,15 @@ def is_total_dominating(g: Graph, S: Sequence[int]) -> bool:
     return all(any(u in members for u in g.adj[v]) for v in range(g.n))
 
 
-def _smallest(n: int, ok) -> int:
-    """Size of the smallest subset of 0..n-1 that satisfies ok, trying sizes from 0."""
-    for size in range(n + 1):
-        if any(ok(S) for S in itertools.combinations(range(n), size)):
-            return size
-    raise AssertionError("unreachable: the whole set always satisfies ok")
-
-
 def brute_force_min_tds(g: Graph, cap: int = DEFAULT_MP_CAP) -> int:
-    """Exact minimum total dominating set size; errors on isolated vertices."""
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds cap {cap}")
+    """Exact minimum total dominating set size; errors on isolated vertices.
+
+    A set totally dominates g iff it hits every open neighbourhood N(v).
+    """
+    _check_cap(g.n, cap)
     if any(not g.adj[v] for v in range(g.n)):
         raise ValueError("no total dominating set exists: isolated vertex")
-    return _smallest(g.n, lambda S: is_total_dominating(g, S))
+    return brute_force_min_hs(g.n, g.adj, cap)
 
 
 def brute_force_min_hs(
@@ -221,7 +218,11 @@ def brute_force_min_hs(
     for s in sets:
         if any(not 0 <= e < universe_size for e in s):
             raise ValueError("family element out of universe range")
-    return _smallest(universe_size, lambda H: all(not s.isdisjoint(H) for s in sets))
+    for size in range(universe_size + 1):
+        for H in itertools.combinations(range(universe_size), size):
+            if all(not s.isdisjoint(H) for s in sets):
+                return size
+    raise AssertionError("unreachable: the whole universe hits every nonempty set")
 
 
 @dataclass(frozen=True)
@@ -244,20 +245,16 @@ def is_dominating_broadcast(g: Graph, D: DistanceMatrix, f: Broadcast) -> bool:
     )
 
 
-def brute_force_gamma_b(
-    g: Graph, D: Optional[DistanceMatrix] = None, cap: int = DEFAULT_GAMMA_CAP
-) -> tuple[int, Broadcast]:
+def brute_force_gamma_b(g: Graph, cap: int = DEFAULT_GAMMA_CAP) -> tuple[int, Broadcast]:
     """Exact broadcast domination number by ascending-cost exhaustive search.
 
     An optimal broadcast exists with all powers <= rad(G), so the search
     terminates at cost rad(G) (cost 1 for the single-vertex graph).
     """
-    if g.n > cap:
-        raise ValueError(f"n={g.n} exceeds cap {cap}")
+    _check_cap(g.n, cap)
     if not is_connected(g) or g.n == 0:
         raise ValueError("broadcast domination requires a connected nonempty graph")
-    if D is None:
-        D = all_pairs(g)
+    D = all_pairs(g)
     rad, _ = radius_diameter(g, D)
     pmax = max(rad, 1)
     powers = [0] * g.n
@@ -303,9 +300,8 @@ def duality_report(
     """Exact MP vs gamma_b comparison with both duality bounds checked."""
     from .checkers import is_chordal  # local import: checkers has no oracle dep
 
-    D = all_pairs(g)
-    mp, witness = brute_force_mp(g, D, cap=mp_cap)
-    gamma, f = brute_force_gamma_b(g, D, cap=gamma_cap)
+    mp, witness = brute_force_mp(g, cap=mp_cap)
+    gamma, f = brute_force_gamma_b(g, cap=gamma_cap)
     chordal, _ = is_chordal(g)
     chordal_ok = (gamma <= -(-3 * mp // 2)) if chordal else None
     return DualityReport(

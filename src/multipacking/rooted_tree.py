@@ -13,17 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .graph import Graph
-
-
-def members(mask: int) -> list[int]:
-    """The set bits of ``mask`` as ascending vertex ids."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .graph import Graph, members
 
 
 class _Arrays(NamedTuple):

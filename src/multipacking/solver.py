@@ -30,14 +30,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import DistanceMatrix, Graph, all_pairs, connected_components, induced_subgraph
-from .rooted_tree import (
-    RootedTree,
-    bfs_tree,
-    classify_subtree,
-    deepest_vertices,
-    members,
-)
+from .graph import DistanceMatrix, Graph, all_pairs, connected_components, induced_subgraph, members
+from .rooted_tree import RootedTree, bfs_tree, classify_subtree, deepest_vertices
 
 Family = set[frozenset[int]]
 
@@ -256,8 +250,7 @@ class BallMasks(NamedTuple):
 def ball_masks(D: DistanceMatrix) -> BallMasks:
     """Ball bitmasks of the connected graph with distance matrix D."""
     rows = []  # rows[v][r] = N_r[v] for r = 0..ecc(v)
-    for v in range(D.n):
-        dist = D[v]
+    for dist in D:
         row = [0] * (max(dist) + 1)
         for u, d in enumerate(dist):
             row[d] |= 1 << u

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from multipacking.randgen import (
     random_tree,
 )
 from multipacking.reductions import reduce_hs_half_hyperbolic
+from test_cli import c5_chain
 
 
 def brute_is_chordal(g: Graph) -> bool:
@@ -183,7 +185,7 @@ def reference_hyperbolicity(g: Graph) -> Fraction:
 def whole_graph_hyperbolicity(g: Graph) -> Fraction:
     """Reference four-point scan over all C(n, 4) sets of V, ignoring blocks."""
     n = g.n
-    dist = all_pairs(g).dist
+    dist = all_pairs(g)
     twice_best = 0
     for u in range(n - 3):
         du = dist[u]
@@ -284,3 +286,17 @@ def test_hyperbolicity_is_the_maximum_over_the_blocks():
         assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == reference_hyperbolicity(g), g.adj
         several += sum(len(b) >= 4 for b in biconnected_blocks(g)) >= 2
     assert 3 * several >= len(graphs)
+
+
+@pytest.mark.parametrize("g, delta", [(path(1000), 0), (c5_chain(50), Fraction(1, 2))])
+def test_hyperbolicity_holds_only_block_distances(g, delta):
+    """Distances come from BFS inside each block with >= 4 vertices, so a
+    long path needs none and a chain of C5s needs 25 per block: no n² table
+    (a 1 000-vertex one alone takes several MiB)."""
+    tracemalloc.start()
+    try:
+        assert hyperbolicity(g) == delta
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -63,7 +63,7 @@ def test_bfs_distances_examples():
 def test_all_pairs_examples():
     assert all_pairs(path(4))[0][3] == 3
     assert all_pairs(cycle(4))[0][2] == 2
-    assert all_pairs(Graph.from_edges(1, [])).dist == ((0,),)
+    assert all_pairs(Graph.from_edges(1, [])) == ((0,),)
 
 
 def test_radius_diameter_examples():

@@ -11,6 +11,7 @@ from multipacking.graph import (
     connected_components,
     induced_subgraph,
     is_connected,
+    members,
     radius_diameter,
 )
 from multipacking.oracle import (
@@ -201,8 +202,8 @@ def test_search_stops_at_the_first_true_visit():
             seen.append(s)
             return len(seen) == k
 
-        _search(g, None, 22, visit)
-        assert seen == every[:k]
+        _search(g, all_pairs(g), visit)
+        assert [tuple(members(m)) for m in seen] == every[:k]
 
 
 def _radius_bound(g):
@@ -354,7 +355,7 @@ def test_gamma_b_witness_verifies():
     for _ in range(20):
         g = random_connected_graph(rng.randint(2, 8), rng)
         D = all_pairs(g)
-        cost, f = brute_force_gamma_b(g, D)
+        cost, f = brute_force_gamma_b(g)
         assert f.cost == cost
         assert is_dominating_broadcast(g, D, f)
 

@@ -56,7 +56,7 @@ def _maximal_by_extension(g):
     D = all_pairs(g)
     return [
         m
-        for m in enumerate_multipackings(g, D)
+        for m in enumerate_multipackings(g)
         if not any(v not in m and is_multipacking(g, D, m + (v,)) for v in range(g.n))
     ]
 
