@@ -14,24 +14,44 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional
 
-from .graph import Graph, all_pairs, biconnected_blocks, induced_subgraph, is_connected
+from .graph import Graph, all_pairs, biconnected_blocks, induced_subgraph, is_connected, members
 
 
 def lexbfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS order; ties broken by smallest vertex id."""
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    visited = [False] * g.n
+    """Lexicographic BFS order; ties broken by smallest vertex id.
+
+    Partition refinement (Rose, Tarjan and Lueker): unvisited vertices sit in
+    bitmask classes of equal label, linked largest label first after class 0.
+    A step visits the lowest id of the first nonempty class and moves each
+    unvisited neighbour into a new class linked just before its own, so it
+    touches only its neighbours' classes; an emptied class is unlinked when
+    it reaches the front.
+    """
+    mask, prev, after = [0, (1 << g.n) - 1], [None, 0], [1, None]
+    class_of = [1] * g.n  # 0 once visited
     order: list[int] = []
-    for step in range(g.n, 0, -1):
-        v = max(
-            (u for u in range(g.n) if not visited[u]),
-            key=lambda u: (labels[u], -u),
-        )
-        visited[v] = True
+    while len(order) < g.n:
+        first = after[0]
+        while not mask[first]:
+            first = after[0] = after[first]
+        prev[first] = 0
+        v = (mask[first] & -mask[first]).bit_length() - 1
         order.append(v)
+        mask[first] ^= 1 << v
+        class_of[v] = 0
+        parts: dict[int, int] = {}  # class -> the new class of its neighbours
         for u in g.adj[v]:
-            if not visited[u]:
-                labels[u].append(step)
+            c = class_of[u]
+            if c:
+                if c not in parts:
+                    parts[c] = len(mask)
+                    mask.append(0)
+                    prev.append(prev[c])
+                    after.append(c)
+                    after[prev[c]] = prev[c] = parts[c]
+                mask[c] ^= 1 << u
+                mask[parts[c]] |= 1 << u
+                class_of[u] = parts[c]
     return order
 
 
@@ -130,12 +150,17 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple]:
 
 
 def is_clawfree(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
-    """(True, None) or (False, (center, leaf, leaf, leaf)) for an induced claw."""
+    """(True, None) or (False, (center, x, y, z)) for the first induced claw by
+    center, then leaves x < y < z: y and z are in ``rest``, c's neighbours
+    above x not adjacent to x, and z is above y and not adjacent to it."""
+    nbrs = [sum(1 << u for u in row) for row in g.adj]
     for c in range(g.n):
-        nbrs = g.adj[c]
-        for x, y, z in itertools.combinations(nbrs, 3):
-            if not (g.has_edge(x, y) or g.has_edge(x, z) or g.has_edge(y, z)):
-                return False, (c, x, y, z)
+        for x in g.adj[c]:
+            rest = nbrs[c] & ~nbrs[x] & -(2 << x)
+            for y in members(rest):
+                zs = rest & ~nbrs[y] & -(2 << y)
+                if zs:
+                    return False, (c, x, y, (zs & -zs).bit_length() - 1)
     return True, None
 
 

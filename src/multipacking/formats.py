@@ -42,13 +42,18 @@ def _ints(line: str, lineno: int, expect: int | None = None) -> list[int]:
     return vals
 
 
-def parse_graph(text: str) -> Graph:
+def _header(text: str, what: str, expect: int):
+    """The data lines after the header, its line number and its integers."""
     lines = _data_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise InputError("empty graph file")
-    n, m = _ints(header, lineno, expect=2)
+        raise InputError(f"empty {what} file")
+    return lines, lineno, _ints(header, lineno, expect)
+
+
+def parse_graph(text: str) -> Graph:
+    lines, lineno, (n, m) = _header(text, "graph", 2)
     if n > MAX_VERTICES:
         raise InputError(f"line {lineno}: {n} vertices exceed the cap {MAX_VERTICES}")
     if m > n * (n - 1) // 2:
@@ -76,22 +81,14 @@ def serialize_graph(g: Graph) -> str:
 
 
 def parse_hitting_set(text: str) -> HittingSetInstance:
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise InputError("empty hitting-set file")
-    n, m, k = _ints(header, lineno, expect=3)
+    lines, lineno, (n, m, k) = _header(text, "hitting-set", 3)
     if m + n * k > MAX_VERTICES:
         raise InputError(
             f"line {lineno}: m + n*k = {m + n * k} exceeds the cap {MAX_VERTICES}"
         )
     family = []
     for lineno, line in lines:
-        vals = _ints(line, lineno)
-        if not vals:
-            raise InputError(f"line {lineno}: empty line in family block")
-        size, members = vals[0], vals[1:]
+        size, *members = _ints(line, lineno)
         if size != len(members):
             raise InputError(
                 f"line {lineno}: declared size {size}, got {len(members)} members"
@@ -118,12 +115,7 @@ def serialize_hitting_set(inst: HittingSetInstance) -> str:
 
 
 def parse_vertex_set(text: str) -> tuple[int, ...]:
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise InputError("empty set file")
-    (size,) = _ints(header, lineno, expect=1)
+    lines, _, (size,) = _header(text, "set", 1)
     members: list[int] = []
     for lineno, line in lines:
         members += _ints(line, lineno)

@@ -91,19 +91,10 @@ def _search(g: Graph, D: DistanceMatrix, visit) -> None:
         for r in range(1, n + 1):
             ball[r] |= ball[r - 1]
     # near[v] pairs the centers c, nearest first, with max(d(v, c), 1): the
-    # smallest radius at which N_r[c] holds v.  Distances are symmetric, so
-    # the centers at radius lo are the bits that v's own ball gains at lo.
-    every = (1 << n) - 1
-    near = [[] for _ in range(n)]
-    for row, ball in zip(near, balls):
-        seen, lo = 0, 1
-        while seen != every:
-            layer, seen = ball[lo] & ~seen, ball[lo]
-            while layer:
-                low = layer & -layer
-                layer ^= low
-                row.append((lo, balls[low.bit_length() - 1]))
-            lo += 1
+    # smallest radius at which N_r[c] holds v.  extend ORs whole balls, so the
+    # order among the centers of one radius does not matter.
+    near = [[(row[c] or 1, balls[c]) for c in sorted(range(n), key=row.__getitem__)]
+            for row in D]
 
     if visit(0):
         return
@@ -135,7 +126,7 @@ def _search(g: Graph, D: DistanceMatrix, visit) -> None:
                     return True
         return False
 
-    extend(0, 1, every)
+    extend(0, 1, (1 << n) - 1)
 
 
 def enumerate_multipackings(g: Graph, cap: int = DEFAULT_MP_CAP) -> list[tuple[int, ...]]:

@@ -252,18 +252,6 @@ def havel_hakimi_regular(n: int, d: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _regular_gadget_layout(n: int, k: int, d: int):
-    """Id layout for one regular-reduction gadget of size 1 + (k-3)d + d^2."""
-    size = 1 + (k - 3) * d + d * d
-    layers = {}  # layer i (2..k-2) -> list of ids relative to gadget base
-    off = 1
-    for i in range(2, k - 1):
-        layers[i] = list(range(off, off + d))
-        off += d
-    t_block = list(range(off, off + d * d))
-    return size, layers, t_block
-
-
 def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
     """Total Dominating Set on cubic graphs -> Multipacking on 2d-regular graphs.
 
@@ -271,7 +259,9 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
     bipartite chains up to S_a^{k-2}, and a (2d-1)-regular block T_a of d^2
     vertices partitioned into d groups each wired to one vertex of the last
     layer.  Apexes are joined along the complement of the input.
-    d = n - 4; |V| = n(1 + (k-3)d + d^2).
+    d = n - 4; |V| = n(1 + (k-3)d + d^2).  Gadget a is the id range from
+    base = a(1 + (k-3)d + d^2): u_a^1 at base, the layers S_a^2..S_a^{k-2}
+    of d ids each, then T_a from t = base + 1 + (k-3)d, group j from t + jd.
     """
     n = g.n
     if regularity(g) != 3:
@@ -281,10 +271,9 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
     if k < 4:
         raise ValueError("regular reduction needs k >= 4")
     d = n - 4
-    vertices = n * (1 + (k - 3) * d + d * d)
-    _check_output_size("regular", vertices, vertices * d)  # the output is 2d-regular
-    size, layers, t_rel = _regular_gadget_layout(n, k, d)
-    t_graph = havel_hakimi_regular(d * d, 2 * d - 1)
+    size = 1 + (k - 3) * d + d * d
+    _check_output_size("regular", n * size, n * size * d)  # the output is 2d-regular
+    t_edges = havel_hakimi_regular(d * d, 2 * d - 1).edges()
     edges: list[tuple[int, int]] = []
     labels: list[str] = []
     for a in range(n):
@@ -293,18 +282,13 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
         for i in range(2, k - 1):
             labels += [f"H_{a}:u^{{{i},{j + 1}}}" for j in range(d)]
         labels += [f"H_{a}:u^{{k-1,{j + 1}}}" for j in range(d * d)]
-        s2 = [base + r for r in layers[2]]
-        edges += [(base, u) for u in s2]
-        edges += list(itertools.combinations(s2, 2))
-        for i in range(2, k - 2):
-            cur = [base + r for r in layers[i]]
-            nxt = [base + r for r in layers[i + 1]]
-            edges += [(u, v) for u in cur for v in nxt]
-        edges += [(base + t_rel[u], base + t_rel[v]) for u, v in t_graph.edges()]
-        last = [base + r for r in layers[k - 2]]
-        for j in range(d):
-            group = [base + t_rel[j * d + p] for p in range(d)]
-            edges += [(last[j], u) for u in group]
+        layers = [range(base + 1 + i * d, base + 1 + (i + 1) * d) for i in range(k - 3)]
+        t = base + 1 + (k - 3) * d
+        edges += itertools.combinations([base, *layers[0]], 2)  # u_a^1 and the clique S_a^2
+        for cur, nxt in zip(layers, layers[1:]):
+            edges += itertools.product(cur, nxt)
+        edges += [(t + u, t + v) for u, v in t_edges]
+        edges += [(s, t + j * d + p) for j, s in enumerate(layers[-1]) for p in range(d)]
     edges += [(a * size, b * size) for a, b in g.complement().edges()]
     out = Graph.from_edges(n * size, edges)
     return ReductionOutput(
@@ -321,16 +305,15 @@ def regular_forward_witness(
     ids first; any superset of a TDS is one), and the witness picks the
     first T_a vertex of each selected gadget.
     """
-    n = g.n
-    d = n - 4
-    size, _, t_rel = _regular_gadget_layout(n, k, d)
+    d = g.n - 4
+    size = 1 + (k - 3) * d + d * d
     chosen = sorted(tds)
-    for v in range(n):
+    for v in range(g.n):
         if len(chosen) >= k:
             break
         if v not in chosen:
             chosen.append(v)
-    return tuple(sorted(a * size + t_rel[0] for a in sorted(chosen)))
+    return tuple(sorted(a * size + 1 + (k - 3) * d for a in chosen))
 
 
 def reduce_tds_conv(g: Graph, k: int) -> ReductionOutput:

@@ -86,21 +86,21 @@ def split_158(t: RootedTree) -> Step:
     (c) otherwise the grandparent of the smallest-id deepest vertex roots a
         spider, returned as ``(None, top)``: its multipackings, enumerated in
         closed form, are combined with the family of t - subtree(top).
+    w and its siblings are deepest, so leaves: (a) is "the parent has >= 2
+    children".  After (a) fails for every w, each w is an only child: (b) is
+    "the parent is the grandparent's only child".
     """
     if t.height <= 1:
         return None
     deepest = deepest_vertices(t)
-    parent = t.arrays.parent
+    parent, kids, alive = t.arrays.parent, t.arrays.kids, t.alive
+    for w in deepest:
+        if (kids[parent[w]] & alive).bit_count() >= 2:
+            return w, parent[w]
     for w in deepest:
         w1 = parent[w]
-        shape = classify_subtree(t, w1)
-        if shape.kind == "H1" and shape.k >= 2:
-            return w, w1
-    for w in deepest:
-        w2 = parent[parent[w]]
-        shape = classify_subtree(t, w2)
-        if shape.kind == "H2" and shape.k1 == 1 and shape.k2 == 0:
-            return w, w2
+        if kids[parent[w1]] & alive == 1 << w1:
+            return w, parent[w1]
     return None, parent[parent[deepest[0]]]
 
 

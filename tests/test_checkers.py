@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from conftest import complete, cycle, path, star
@@ -14,7 +16,7 @@ from multipacking.checkers import (
     lexbfs_order,
     regularity,
 )
-from multipacking.graph import Graph, all_pairs, biconnected_blocks
+from multipacking.graph import Graph, all_pairs, biconnected_blocks, is_connected
 from multipacking.randgen import (
     random_connected_chordal,
     random_connected_graph,
@@ -74,6 +76,80 @@ def check_chordless_cycle(g: Graph, cyc: list[int]) -> bool:
 def test_lexbfs_is_permutation():
     order = lexbfs_order(cycle(5))
     assert sorted(order) == list(range(5))
+
+
+def reference_lexbfs_order(g: Graph) -> list[int]:
+    """Reference LexBFS on label lists: each step visits the unvisited vertex
+    with the largest label, smallest id on ties, then appends the step number
+    (counting down from n) to the labels of its unvisited neighbours."""
+    labels: list[list[int]] = [[] for _ in range(g.n)]
+    visited = [False] * g.n
+    order: list[int] = []
+    for step in range(g.n, 0, -1):
+        v = max(
+            (u for u in range(g.n) if not visited[u]),
+            key=lambda u: (labels[u], -u),
+        )
+        visited[v] = True
+        order.append(v)
+        for u in g.adj[v]:
+            if not visited[u]:
+                labels[u].append(step)
+    return order
+
+
+def reference_is_clawfree(g: Graph):
+    """Reference claw search: the first pairwise nonadjacent neighbour triple
+    of the first center, triples in ``combinations`` order."""
+    for c in range(g.n):
+        nbrs = g.adj[c]
+        for x, y, z in itertools.combinations(nbrs, 3):
+            if not (g.has_edge(x, y) or g.has_edge(x, z) or g.has_edge(y, z)):
+                return False, (c, x, y, z)
+    return True, None
+
+
+def atlas_and_random_graphs() -> list[Graph]:
+    """The networkx atlas (every graph with n <= 7), random graphs with
+    n <= 40 (many disconnected), and line graphs of random graphs (claw-free)."""
+    graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.03, 0.1, 0.3, 0.6, 0.9))
+        graphs.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for _ in range(40):
+        h = nx.gnp_random_graph(rng.randint(3, 10), rng.choice((0.3, 0.6, 1.0)), seed=rng.randrange(10**6))
+        line = nx.convert_node_labels_to_integers(nx.line_graph(h), ordering="sorted")
+        graphs.append(Graph.from_edges(line.number_of_nodes(), list(line.edges())))
+    return graphs
+
+
+def test_lexbfs_and_claw_search_match_their_references():
+    disconnected = clawfree = 0
+    for g in atlas_and_random_graphs():
+        assert lexbfs_order(g) == reference_lexbfs_order(g), g.adj
+        assert is_clawfree(g) == reference_is_clawfree(g), g.adj
+        disconnected += not is_connected(g)
+        clawfree += is_clawfree(g)[0]
+    assert disconnected >= 300 and clawfree >= 500
+
+
+SPIDER = Graph.from_edges(3001, [(0, i) for i in range(1, 1501)] + [(i, i + 1500) for i in range(1, 1501)])
+
+
+@pytest.mark.parametrize(
+    "check, g", [(is_chordal, path(3000)), (is_chordal, SPIDER), (is_clawfree, complete(100))]
+)
+def test_chordal_and_claw_checks_scale(check, g):
+    """LexBFS refines only the classes of the visited vertex's neighbours
+    instead of comparing the labels of all unvisited vertices, or refining
+    every class, at each step; the claw search tests neighbour masks instead
+    of every neighbour triple.  Those take seconds on these graphs (the
+    spider has 1 500 two-edge legs and ends with 1 500 singleton classes)."""
+    start = time.perf_counter()
+    assert check(g)[0]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_is_chordal_examples():

@@ -212,33 +212,33 @@ def test_havel_hakimi():
 
 def test_regular_variant_k33():
     g = k33()
-    k = 4
     d = g.n - 4
-    out = reduce_tds_regular(g, k)
-    size = 1 + (k - 3) * d + d * d
-    assert out.graph.n == g.n * size == 42
-    assert regularity(out.graph) == 2 * d
-    assert out.claims == (f"regular({2 * d})",)
-    # apex subgraph is the complement of the input
-    apexes = [a * size for a in range(g.n)]
-    sub, _ = induced_subgraph(out.graph, apexes)
-    comp = g.complement()
-    assert sub.adj == comp.adj
+    for k in (4, 5, 6):
+        out = reduce_tds_regular(g, k)
+        size = 1 + (k - 3) * d + d * d
+        assert out.graph.n == g.n * size == 42 + 12 * (k - 4)
+        assert regularity(out.graph) == 2 * d
+        assert out.claims == (f"regular({2 * d})",)
+        # apex subgraph is the complement of the input
+        apexes = [a * size for a in range(g.n)]
+        sub, _ = induced_subgraph(out.graph, apexes)
+        comp = g.complement()
+        assert sub.adj == comp.adj
 
 
 def test_regular_variant_forward_witness():
     for g in (k33(), prism()):
-        k = 4
         tds = None
         for S in itertools.combinations(range(g.n), brute_force_min_tds(g)):
             if is_total_dominating(g, S):
                 tds = list(S)
                 break
-        assert tds is not None and len(tds) <= k
-        out = reduce_tds_regular(g, k)
-        witness = regular_forward_witness(g, tds, k)
-        assert len(witness) == k
-        assert is_multipacking(out.graph, all_pairs(out.graph), witness)
+        for k in (4, 5, 6):
+            assert tds is not None and len(tds) <= k
+            out = reduce_tds_regular(g, k)
+            witness = regular_forward_witness(g, tds, k)
+            assert len(witness) == k
+            assert is_multipacking(out.graph, all_pairs(out.graph), witness)
 
 
 def test_regular_variant_validation():

@@ -11,7 +11,7 @@ from multipacking.oracle import (
     is_multipacking,
 )
 from multipacking.randgen import random_connected_graph, random_tree
-from multipacking.rooted_tree import RootedTree, bfs_tree
+from multipacking.rooted_tree import RootedTree, bfs_tree, classify_subtree, deepest_vertices
 from multipacking.solver import (
     ball_masks,
     candidate_family,
@@ -193,6 +193,51 @@ def test_solve_detailed_on_small_components():
     for algo in ("a158", "a162"):
         size, witness, _ = solve_detailed(g, algo)
         assert (size, witness) == expected
+
+
+def shape_split_158(t: RootedTree):
+    """Reference 1.58 rule: cases (a) and (b) read from the ``GadgetShape``
+    of the parent and the grandparent of each deepest vertex."""
+    if t.height <= 1:
+        return None
+    deepest = deepest_vertices(t)
+    parent = t.arrays.parent
+    for w in deepest:
+        w1 = parent[w]
+        shape = classify_subtree(t, w1)
+        if shape.kind == "H1" and shape.k >= 2:
+            return w, w1
+    for w in deepest:
+        w2 = parent[parent[w]]
+        shape = classify_subtree(t, w2)
+        if shape.kind == "H2" and shape.k1 == 1 and shape.k2 == 0:
+            return w, w2
+    return None, parent[parent[deepest[0]]]
+
+
+def test_split_158_matches_the_shape_rule(trees_up_to_9):
+    """On every state the family kernel reaches, from every rooting of the
+    trees with n <= 9 and from random trees with n <= 24."""
+    rng = random.Random(89)
+    trees = [bfs_tree(g, r) for g in trees_up_to_9 for r in range(g.n)]
+    trees += [bfs_tree(random_tree(rng.randint(10, 24), rng), 0) for _ in range(100)]
+    states = 0
+    for t in trees:
+        seen, todo = set(), [t]
+        while todo:
+            s = todo.pop()
+            if s.alive in seen:
+                continue
+            seen.add(s.alive)
+            step = split_158(s)
+            assert step == shape_split_158(s), (s.parent, step)
+            if step is not None:
+                w, top = step
+                todo.append(s.remove_subtree(top))
+                if w is not None:
+                    todo.append(s.remove_leaf(w))
+        states += len(seen)
+    assert states > 6000
 
 
 RULES = ((split_158, candidate_family), (split_162, candidate_family_162))
