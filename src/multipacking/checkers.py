@@ -2,9 +2,12 @@
 
 Positive witnesses re-verify (perfect elimination ordering, bipartition,
 ...); negative witnesses exhibit the violation (chordless cycle, odd walk,
-induced claw).  Hyperbolicity is computed in exact half-integers from
-distances found by BFS inside each biconnected block, never from all n²
-distances of the graph.
+induced claw).  LexBFS refines bitmask classes, and the ordering check and
+the claw search read neighbour bitmasks.  Hyperbolicity is computed in exact
+half-integers from distances found by bitmask BFS inside each biconnected
+block, never from all n² distances of the graph, by a scan over far-apart
+pairs in order of decreasing distance that stops once no remaining pair can
+raise the best value.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Optional
 
-from .graph import Graph, all_pairs, biconnected_blocks, induced_subgraph, is_connected, members
+from .graph import Graph, biconnected_blocks, is_connected, members
 
 
 def lexbfs_order(g: Graph) -> list[int]:
@@ -55,18 +58,25 @@ def lexbfs_order(g: Graph) -> list[int]:
     return order
 
 
+def _neighbour_masks(g: Graph) -> list[int]:
+    """One int bitmask per vertex: bit u of entry v is set iff uv is an edge."""
+    return [sum(1 << u for u in row) for row in g.adj]
+
+
 def _verify_peo(g: Graph, peo: list[int]) -> Optional[tuple[int, int, int]]:
     """None if peo is a perfect elimination ordering, else a failing triple
-    (v, p, w): p and w occur after v, both adjacent to v, but not adjacent."""
+    (v, p, w): p and w occur after v, both adjacent to v, but not adjacent;
+    p is v's first later neighbour in peo and w the lowest id that fails."""
+    nbrs = _neighbour_masks(g)
     pos = {v: i for i, v in enumerate(peo)}
     for i, v in enumerate(peo):
         later = [u for u in g.adj[v] if pos[u] > i]
         if len(later) < 2:
             continue
-        p = min(later, key=lambda u: pos[u])
-        for w in later:
-            if w != p and not g.has_edge(p, w):
-                return v, p, w
+        p = min(later, key=pos.__getitem__)
+        missing = sum(1 << w for w in later) & ~nbrs[p] & ~(1 << p)
+        if missing:
+            return v, p, (missing & -missing).bit_length() - 1
     return None
 
 
@@ -153,7 +163,7 @@ def is_clawfree(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """(True, None) or (False, (center, x, y, z)) for the first induced claw by
     center, then leaves x < y < z: y and z are in ``rest``, c's neighbours
     above x not adjacent to x, and z is above y and not adjacent to it."""
-    nbrs = [sum(1 << u for u in row) for row in g.adj]
+    nbrs = _neighbour_masks(g)
     for c in range(g.n):
         for x in g.adj[c]:
             rest = nbrs[c] & ~nbrs[x] & -(2 << x)
@@ -175,15 +185,28 @@ def regularity(g: Graph) -> Optional[int]:
 def hyperbolicity(g: Graph) -> Fraction:
     """Exact Gromov hyperbolicity by the four-point condition, block by block.
 
-    For each 4-set {u, v, x, y} the three pairings give the distance sums
-    d(u,v)+d(x,y), d(u,x)+d(v,y) and d(u,y)+d(v,x); its contribution is
-    half the difference between the largest and the middle sum.  The graph's
-    value is the maximum over its biconnected blocks, and each block is an
-    isometric subgraph (Cohen, Coudert and Lancin, "On computing the Gromov
-    hyperbolicity"), so each block with >= 4 vertices is scanned alone on
-    its own BFS distances: sum of C(|B|, 4) sets, not C(n, 4), and sum of
-    |B|² distances, not n².  The maximum is returned as an exact
-    half-integer.
+    For a 4-set with pairing sums S1 >= S2 >= S3 (of d(u,v)+d(x,y),
+    d(u,x)+d(v,y), d(u,y)+d(v,x)), twice its value is S1 - S2.  The graph's
+    value is the maximum over its biconnected blocks, each an isometric
+    subgraph, so each block with >= 4 vertices is scanned alone on distances
+    found by BFS inside it (Σ |B|² distances, not n²), with one best value
+    carried across blocks; a clique block is 0-hyperbolic and skipped.  The
+    scan follows Cohen, Coudert and Lancin ("On computing the Gromov
+    hyperbolicity"):
+
+    - Bound.  If {u,v}, {x,y} is the max-sum pairing, then
+      d(u,x) + d(u,y) >= d(x,y) and d(v,x) + d(v,y) >= d(x,y) give
+      2·S1 - S2 - S3 <= 2·d(u,v), so S1 - S2 <= min(d(u,v), d(x,y)).
+    - Lemma.  u, v are far apart when no neighbour of v is farther from u
+      and no neighbour of u is farther from v.  If v has a neighbour w with
+      d(u,w) = d(u,v) + 1, swapping v for w raises S1 by one and S2, S3 by
+      at most one, so the value does not drop; as S1 is bounded, some
+      optimal 4-set has both of its max-sum pairs far apart.
+
+    So the scan keeps only far-apart pairs, sorted by decreasing distance,
+    and combines each with every earlier one; it stops at the first pair
+    whose distance is at most the best S1 - S2 so far, which no later pair
+    can lift.  The maximum is returned as an exact half-integer.
     """
     if not is_connected(g):
         raise ValueError("hyperbolicity requires a connected graph")
@@ -192,28 +215,39 @@ def hyperbolicity(g: Graph) -> Fraction:
         n = len(block)
         if n < 4:
             continue
-        dist = all_pairs(induced_subgraph(g, block)[0])
-        for u in range(n - 3):
-            du = dist[u]
-            for v in range(u + 1, n - 2):
-                dv = dist[v]
-                duv = du[v]
-                for x in range(v + 1, n - 1):
-                    dx = dist[x]
-                    dux = du[x]
-                    dvx = dv[x]
-                    for y in range(x + 1, n):
-                        s1 = duv + dx[y]
-                        s2 = dux + dv[y]
-                        if s1 < s2:
-                            s1, s2 = s2, s1
-                        s3 = du[y] + dvx
-                        if s3 >= s1:
-                            twice = s3 - s1
-                        elif s3 > s2:
-                            twice = s1 - s3
-                        else:
-                            twice = s1 - s2
-                        if twice > twice_best:
-                            twice_best = twice
+        pos = {v: i for i, v in enumerate(block)}
+        nbrs = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in block]
+        if all(mask.bit_count() == n - 1 for mask in nbrs):
+            continue
+        dist: list[list[int]] = []
+        ends: list[int] = []  # ends[s]: the vertices with no neighbour farther from s
+        for s in range(n):
+            row = [0] * n
+            prev, layer, seen, k, end = 0, 1 << s, 1 << s, 0, 0
+            while layer:
+                reach = 0
+                for v in members(layer):
+                    row[v] = k
+                    reach |= nbrs[v]
+                end |= prev & ~reach
+                prev, layer, k = layer, reach & ~seen, k + 1
+                seen |= layer
+            dist.append(row)
+            ends.append(end | prev)
+        pairs = sorted(  # the far-apart pairs u < v
+            ((dist[u][v], u, v) for u in range(n) for v in members(ends[u] & -(2 << u)) if ends[v] >> u & 1),
+            reverse=True,
+        )
+        for i, (d, x, y) in enumerate(pairs):
+            if d <= twice_best:
+                break
+            dx, dy = dist[x], dist[y]
+            for e, u, v in itertools.islice(pairs, i):
+                # d + e - s2 is S1 - S2 if {x,y}, {u,v} is the max-sum pairing, else <= 0
+                s2 = dx[u] + dy[v]
+                s3 = dx[v] + dy[u]
+                if s3 > s2:
+                    s2 = s3
+                if d + e - s2 > twice_best:
+                    twice_best = d + e - s2
     return Fraction(twice_best, 2)

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import complete, cycle, path, star
 from multipacking.checkers import (
+    _verify_peo,
     hyperbolicity,
     is_bipartite,
     is_chordal,
@@ -150,6 +151,43 @@ def test_chordal_and_claw_checks_scale(check, g):
     start = time.perf_counter()
     assert check(g)[0]
     assert time.perf_counter() - start < 0.5
+
+
+def reference_verify_peo(g: Graph, peo: list[int]):
+    """Reference PEO check: the first later neighbour w of each v, in id order,
+    that is not adjacent to v's first later neighbour p in peo."""
+    pos = {v: i for i, v in enumerate(peo)}
+    for i, v in enumerate(peo):
+        later = [u for u in g.adj[v] if pos[u] > i]
+        if len(later) < 2:
+            continue
+        p = min(later, key=lambda u: pos[u])
+        for w in later:
+            if w != p and not g.has_edge(p, w):
+                return v, p, w
+    return None
+
+
+def test_verify_peo_matches_its_reference():
+    rng = random.Random(47)
+    failing = 0
+    for g in atlas_and_random_graphs():
+        orders = [lexbfs_order(g)[::-1], rng.sample(range(g.n), g.n)]
+        for peo in orders:
+            assert _verify_peo(g, peo) == reference_verify_peo(g, peo), (g.adj, peo)
+            failing += _verify_peo(g, peo) is not None
+    assert failing >= 500
+
+
+def test_peo_check_tests_each_neighbour_with_one_mask():
+    """Each later neighbour is tested against a neighbour bitmask, not by a
+    scan of an adjacency tuple, which is cubic on complete graphs (about
+    0.4 s for K_600)."""
+    g = complete(600)
+    start = time.perf_counter()
+    ok, peo = is_chordal(g)
+    assert time.perf_counter() - start < 0.25
+    assert ok and sorted(peo) == list(range(600))
 
 
 def test_is_chordal_examples():
@@ -372,6 +410,109 @@ def test_hyperbolicity_holds_only_block_distances(g, delta):
     tracemalloc.start()
     try:
         assert hyperbolicity(g) == delta
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def ladder(rungs: int) -> Graph:
+    """Two paths of ``rungs`` vertices, i joined to rungs + i."""
+    edges = [(i, rungs + i) for i in range(rungs)]
+    edges += [(r + i, r + i + 1) for r in (0, rungs) for i in range(rungs - 1)]
+    return Graph.from_edges(2 * rungs, edges)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def wheel(spokes: int) -> Graph:
+    """A hub 0 joined to every vertex of a cycle on 1..spokes."""
+    ring = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return Graph.from_edges(spokes + 1, ring + [(0, i) for i in range(1, spokes + 1)])
+
+
+def complete_minus_edge(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, n - 1)])
+
+
+def cliques_on_an_edge(m: int) -> Graph:
+    """Two copies of K_m sharing the edge 01: 0..m-1 and 0, 1, m..2m-3."""
+    other = [0, 1] + list(range(m, 2 * m - 2))
+    edges = list(itertools.combinations(range(m), 2))
+    edges += [e for e in itertools.combinations(other, 2) if e != (0, 1)]
+    return Graph.from_edges(2 * m - 2, edges)
+
+
+def spoked_cycle(length: int, gap: int) -> Graph:
+    """C_length plus a hub joined to every gap-th cycle vertex."""
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    return Graph.from_edges(length + 1, edges + [(length, v) for v in range(0, length, gap)])
+
+
+def twinned_cycle(length: int, twins: int) -> Graph:
+    """C_length plus ``twins`` vertices with the neighbours of vertex 0."""
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    return Graph.from_edges(length + twins, edges + [(length + j, v) for j in range(twins) for v in (1, length - 1)])
+
+
+def test_hyperbolicity_is_exact_on_the_atlas_and_on_families():
+    """The pair-ordered scan equals both four-set scans on every connected
+    atlas graph with n >= 4 and on families whose far-apart pairs and stop
+    differ: ladders and grids (few far-apart pairs), cycles, wheels, cliques
+    (skipped), a clique less an edge, two cliques on an edge (every pair at
+    distance 1 far apart), and cycles with spokes or twins."""
+    graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs = [g for g in graphs if g.n >= 4 and is_connected(g)]
+    assert len(graphs) > 800
+    graphs += [ladder(r) for r in range(2, 9)]
+    graphs += [grid(a, b) for a in range(2, 5) for b in range(a, 5)]
+    graphs += [cycle(n) for n in range(4, 17)]
+    graphs += [wheel(k) for k in range(3, 13)]
+    graphs += [complete(n) for n in range(4, 11)]
+    graphs += [complete_minus_edge(n) for n in range(4, 11)]
+    graphs += [cliques_on_an_edge(m) for m in range(3, 9)]
+    graphs += [spoked_cycle(n, gap) for n in range(6, 19) for gap in (2, 3, 5)]
+    graphs += [twinned_cycle(n, t) for n in range(4, 13) for t in (1, 3, 6)]
+    for g in graphs:
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == reference_hyperbolicity(g), g.adj
+
+
+@pytest.mark.parametrize(
+    "g, delta, seconds",
+    [(cycle(1000), 250, 2), (grid(30, 30), 29, 2), (twinned_cycle(12, 100), 3, 0.5), (spoked_cycle(300, 15), 4, 0.5)],
+)
+def test_hyperbolicity_stops_at_far_apart_pairs(g, delta, seconds):
+    """Each graph is one block.  A scan over four-sets would visit about 4e10
+    of them in C_1000 and 3e10 in the 30x30 grid.  The twins of vertex 0
+    add C(100, 2) far-apart pairs at distance 2, below the best value, so
+    the stop skips them; in the spoked cycle the hub sees the far side of
+    every segment as far from it, but not the other way round, so only the
+    two-sided test keeps those pairs out.  Either scan without its
+    restriction takes over a second on the last two."""
+    start = time.perf_counter()
+    assert hyperbolicity(g) == delta
+    assert time.perf_counter() - start < seconds
+
+
+def test_hyperbolicity_on_a_long_chain_of_small_blocks():
+    """5 000 C4s in a row, each sharing a cut vertex with the next: each
+    block's BFS holds rows of its own 4 vertices, never of all 15 001
+    (rows of length n would fill 3e8 cells)."""
+    edges = []
+    for i in range(5000):
+        a = 3 * i
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 3), (a + 2, a + 3)]
+    g = Graph.from_edges(15001, edges)
+    start = time.perf_counter()
+    assert hyperbolicity(g) == 1
+    assert time.perf_counter() - start < 1
+    tracemalloc.start()
+    try:
+        assert hyperbolicity(g) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
