@@ -33,12 +33,10 @@ def count_maximal_path(N: int) -> list[int]:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    pre = {-2: 0, -1: 1, 0: 1, 1: 1, 2: 2, 3: 3}
-    c = [pre[1], pre[2], pre[3]]
-    get = lambda i: pre[i] if i <= 3 else c[i - 1]
-    for n in range(4, N + 1):
-        c.append(get(n - 3) + get(n - 4) + get(n - 5))
-    return c[:N]
+    c = [0, 1, 1, 1, 2, 3]  # c_{-2} .. c_3
+    for _ in range(4, N + 1):
+        c.append(c[-3] + c[-4] + c[-5])
+    return c[3:N + 3]
 
 
 def enumerate_maximal_multipackings(

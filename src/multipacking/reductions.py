@@ -98,12 +98,14 @@ def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
 
     Family clique; per universe element a path of k-1 vertices whose head
     is adjacent to exactly the family sets NOT containing the element.
-    |V| = m + n(k-1); min-HS <= k iff MP >= k (k >= 2).
+    |V| = m + n(k-1); min-HS <= k iff MP >= k (2 <= k <= n).
     """
     n, m, k = inst.n, inst.m, inst.k
     if k < 2:
         raise ValueError("chordal reduction needs k >= 2")
     _check_output_size("chordal", m + n * (k - 1), comb(m, 2) + n * (k - 2) + n * m)
+    if k > n:
+        raise ValueError(f"chordal reduction needs k <= n = {n}, got k = {k}")
     paths, edges, labels = _layout(m, n, k - 1)
     edges += itertools.combinations(range(m), 2)
     edges += [(paths[i][0], j) for j, i in _misses(inst)]
@@ -116,7 +118,7 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
 
     Adds a pair vertex y_{i,j} for every i<j adjacent to both path heads,
     and the family together with all pair vertices forms one clique.
-    |V| = m + n(k-1) + C(n,2); min-HS <= k iff MP >= k (k >= 3).
+    |V| = m + n(k-1) + C(n,2); min-HS <= k iff MP >= k (3 <= k <= n).
     """
     n, m, k = inst.n, inst.m, inst.k
     if k < 3:
@@ -125,6 +127,8 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
     _check_output_size(
         "half-hyperbolic", m + n * (k - 1) + y, n * (k - 2) + n * m + 2 * y + comb(m + y, 2)
     )
+    if k > n:
+        raise ValueError(f"half-hyperbolic reduction needs k <= n = {n}, got k = {k}")
     paths, edges, labels = _layout(m, n, k - 1)
     edges += [(paths[i][0], j) for j, i in _misses(inst)]
     y_base = len(labels)
@@ -155,7 +159,7 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     """Hitting Set -> Multipacking on a bipartite graph.
 
     No family clique; instead an apex vertex C adjacent to every family
-    vertex.  |V| = m + 1 + n(k-1); min-HS <= k iff MP >= k (k >= 2).
+    vertex.  |V| = m + 1 + n(k-1); min-HS <= k iff MP >= k (2 <= k <= n).
 
     k = 2 needs its own branch.  In any graph MP >= 2 iff two vertices are
     at distance >= 3 or in different components.  A head u_i^1 and a
@@ -174,6 +178,8 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     if k < 2:
         raise ValueError("bipartite reduction needs k >= 2")
     _check_output_size("bipartite", m + n * (k - 1) + 1, n * (k - 2) + n * m + m)
+    if k > n:
+        raise ValueError(f"bipartite reduction needs k <= n = {n}, got k = {k}")
     paths, edges, labels = _layout(m, n, k - 1)
     join_all = k == 2 and not _hit_by_two(inst)
     links = itertools.product(range(m), range(n)) if join_all else _misses(inst)
@@ -191,7 +197,7 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
     non-membership link is subdivided through a vertex w_{j,i}; two w
     vertices are adjacent iff they share the family index or the element
     index.  |V| = m + n(k-2) + sum_j |U \\ S_j|; min-HS <= k iff MP >= k
-    (k >= 3 so the element paths are nonempty).
+    (3 <= k <= n; k >= 3 so the element paths are nonempty).
     """
     n, m, k = inst.n, inst.m, inst.k
     if k < 3:
@@ -201,6 +207,8 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
     _check_output_size(
         "claw-free", m + n * (k - 2) + w_max, comb(m, 2) + n * (k - 3) + 2 * w_max + w_clique
     )
+    if k > n:
+        raise ValueError(f"claw-free reduction needs k <= n = {n}, got k = {k}")
     paths, edges, labels = _layout(m, n, k - 2)
     edges += itertools.combinations(range(m), 2)
     w_base = len(labels)

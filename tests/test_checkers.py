@@ -517,3 +517,39 @@ def test_hyperbolicity_on_a_long_chain_of_small_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_chordless_cycle_starts_at_the_failing_triple():
+    """On every non-chordal graph the witness is a chordless cycle through the
+    vertex whose later neighbours fail the ordering check."""
+    failing = 0
+    for g in atlas_and_random_graphs():
+        ok, witness = is_chordal(g)
+        if ok:
+            continue
+        v, p, w = _verify_peo(g, lexbfs_order(g)[::-1])
+        assert check_chordless_cycle(g, witness), (g.adj, witness)
+        assert witness[:2] == [v, p] and witness[-1] == w, (g.adj, witness)
+        failing += 1
+    assert failing >= 900
+
+
+def c4_after_a_path(n: int, fan: bool) -> Graph:
+    """The path 1..n with a C4 n, n+1, n+2, n+3 hung on its end; vertex 0 is
+    joined to vertex 1, or for a fan to every vertex of the path."""
+    edges = [(i, i + 1) for i in range(1, n + 3)] + [(n + 3, n)]
+    return Graph.from_edges(n + 4, edges + [(0, i) for i in range(1, n + 1 if fan else 2)])
+
+
+@pytest.mark.parametrize("fan", [False, True])
+def test_chordless_cycle_takes_one_search(fan):
+    """The cycle comes from one BFS closing the ordering check's failing
+    triple.  A search from every vertex over each nonadjacent neighbour pair
+    takes seconds here: on the path each pair's BFS sweeps the path, and the
+    fan's hub alone has C(4 000, 2) pairs."""
+    g = c4_after_a_path(4000, fan)
+    start = time.perf_counter()
+    ok, witness = is_chordal(g)
+    assert time.perf_counter() - start < 0.5
+    assert not ok and check_chordless_cycle(g, witness)
+    assert sorted(witness) == [4000, 4001, 4002, 4003]

@@ -13,6 +13,7 @@ from multipacking.checkers import (
     is_clawfree,
     regularity,
 )
+from multipacking.cli import main
 from multipacking.graph import Graph, all_pairs, induced_subgraph
 from multipacking.oracle import (
     brute_force_min_hs,
@@ -196,6 +197,29 @@ def test_reductions_cap_their_output_before_building():
         with pytest.raises(ValueError, match="caps are"):
             builder(inst)
     assert 600 * 599 // 2 > MAX_OUTPUT_VERTICES and 2000 * 1999 // 2 > MAX_OUTPUT_EDGES
+
+
+HS_FLOORS = [(reduce_hs_chordal, 2), (reduce_hs_half_hyperbolic, 3), (reduce_hs_bipartite, 2), (reduce_hs_clawfree, 3)]
+
+
+def test_reductions_reject_k_above_the_universe(tmp_path, capsys):
+    """The iff min-HS <= k <=> MP >= k is proved for floor <= k <= n only: a
+    hitting set is padded to exactly k distinct elements.  Above n every
+    instance is a yes-instance, yet the outputs can have MP < k (the chordal
+    output of universe {0}, family {{0}}, k = 3 has MP 2), so each builder
+    refuses k > n and the CLI exits 3 without writing a graph."""
+    for builder, floor in HS_FLOORS:
+        for n in range(1, 5):
+            for family in ([range(n)], [{i} for i in range(n)]):
+                for k in range(max(floor, n + 1), n + 4):
+                    with pytest.raises(ValueError, match="k <= n"):
+                        builder(HittingSetInstance.make(n, family, k))
+    hs = tmp_path / "one.hs"
+    hs.write_text("1 1 3\n1 0\n")
+    for variant in ("chordal", "hyperbolic", "bipartite", "clawfree"):
+        assert main(["reduce", "hs", str(hs), "--variant", variant, "--out", str(tmp_path / "x")]) == 3
+        assert "k <= n = 1, got k = 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.graph").exists()
 
 
 def test_havel_hakimi():
