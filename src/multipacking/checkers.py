@@ -58,23 +58,26 @@ def lexbfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _neighbour_masks(g: Graph) -> list[int]:
-    """One int bitmask per vertex: bit u of entry v is set iff uv is an edge."""
-    return [sum(1 << u for u in row) for row in g.adj]
+def _neighbour_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """(lo, masks): masks[v] << lo[v] is v's neighbour bitmask, lo[v] its lowest
+    neighbour (0 if none).  So each mask spans only v's neighbour ids, and on
+    a path they total O(n) words, where masks from bit 0 take n²/16 bytes."""
+    lo = [row[0] if row else 0 for row in g.adj]
+    return lo, [sum(1 << u - b for u in row) for b, row in zip(lo, g.adj)]
 
 
 def _verify_peo(g: Graph, peo: list[int]) -> Optional[tuple[int, int, int]]:
     """None if peo is a perfect elimination ordering, else a failing triple
     (v, p, w): p and w occur after v, both adjacent to v, but not adjacent;
     p is v's first later neighbour in peo and w the lowest id that fails."""
-    nbrs = _neighbour_masks(g)
+    lo, nbrs = _neighbour_masks(g)
     pos = {v: i for i, v in enumerate(peo)}
     for i, v in enumerate(peo):
         later = [u for u in g.adj[v] if pos[u] > i]
         if len(later) < 2:
             continue
         p = min(later, key=pos.__getitem__)
-        missing = sum(1 << w for w in later) & ~nbrs[p] & ~(1 << p)
+        missing = sum(1 << w for w in later) & ~(nbrs[p] << lo[p]) & ~(1 << p)
         if missing:
             return v, p, (missing & -missing).bit_length() - 1
     return None
@@ -156,12 +159,12 @@ def is_clawfree(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """(True, None) or (False, (center, x, y, z)) for the first induced claw by
     center, then leaves x < y < z: y and z are in ``rest``, c's neighbours
     above x not adjacent to x, and z is above y and not adjacent to it."""
-    nbrs = _neighbour_masks(g)
+    lo, nbrs = _neighbour_masks(g)
     for c in range(g.n):
         for x in g.adj[c]:
-            rest = nbrs[c] & ~nbrs[x] & -(2 << x)
+            rest = nbrs[c] << lo[c] & ~(nbrs[x] << lo[x]) & -(2 << x)
             for y in members(rest):
-                zs = rest & ~nbrs[y] & -(2 << y)
+                zs = rest & ~(nbrs[y] << lo[y]) & -(2 << y)
                 if zs:
                     return False, (c, x, y, (zs & -zs).bit_length() - 1)
     return True, None

@@ -3,10 +3,10 @@
 Graph format: header line "n m", then m lines "u v" with 0 <= u,v < n and
 u != v; '#' starts a comment line.  A header with n above MAX_VERTICES or
 m above n(n-1)/2 is rejected before anything is allocated.  Hitting-set
-format: header "n m k", then m lines "s a_1 ... a_s"; a header with
-m + n*k above MAX_VERTICES is rejected before the family is read, since a
-reduction lays out m family vertices plus n element paths of up to k - 1
-vertices each.  Set format: a size line, then the members.
+format: header "n m k", then m lines "s a_1 ... a_s" of distinct elements;
+a header with m + n*k above MAX_VERTICES is rejected before the family is
+read, since a reduction lays out m family vertices plus n element paths of
+up to k - 1 vertices each.  Set format: a size line, then distinct members.
 Serialization of a canonically parsed file is byte-identical to the input.
 """
 
@@ -97,6 +97,8 @@ def parse_hitting_set(text: str) -> HittingSetInstance:
             raise InputError(f"line {lineno}: empty set in family")
         if any(not 0 <= e < n for e in members):
             raise InputError(f"line {lineno}: element out of range 0..{n - 1}")
+        if len(set(members)) != size:
+            raise InputError(f"line {lineno}: repeated element in set")
         family.append(frozenset(members))
     if len(family) != m:
         raise InputError(f"header declares {m} sets, file has {len(family)}")
@@ -116,9 +118,12 @@ def serialize_hitting_set(inst: HittingSetInstance) -> str:
 
 def parse_vertex_set(text: str) -> tuple[int, ...]:
     lines, _, (size,) = _header(text, "set", 1)
-    members: list[int] = []
+    members: set[int] = set()
     for lineno, line in lines:
-        members += _ints(line, lineno)
+        for v in _ints(line, lineno):
+            if v in members:
+                raise InputError(f"line {lineno}: repeated member {v}")
+            members.add(v)
     if len(members) != size:
         raise InputError(f"header declares {size} members, file has {len(members)}")
     return tuple(sorted(members))

@@ -1,9 +1,10 @@
 """Undirected simple graphs with BFS-based metric helpers.
 
 Vertices are dense integer ids 0..n-1, and a vertex set is an int bitmask
-(bit v for vertex v; ``members`` lists its vertices).  Distances are plain
-rows, ``D[u][v]``, with the sentinel value ``n`` (an impossible finite hop
-count) for unreachable pairs, so hot loops never deal with optionals.
+(bit v for vertex v; ``members`` lists its vertices), and the solver and the
+oracle read every ball N_r[v] as one from ``ball_rows``.  Distances are
+plain rows, ``D[u][v]``, with the sentinel value ``n`` (an impossible finite
+hop count) for unreachable pairs, so hot loops never deal with optionals.
 """
 
 from __future__ import annotations
@@ -133,11 +134,23 @@ def radius_diameter(g: Graph, D: DistanceMatrix) -> tuple[int, int]:
     return min(ecc), max(ecc)
 
 
-def ball(D: DistanceMatrix, v: int, r: int) -> tuple[int, ...]:
-    """Closed ball: all vertices at distance <= r from v."""
-    if not 0 <= v < len(D):
-        raise ValueError(f"vertex {v} out of range")
-    return tuple(u for u, d in enumerate(D[v]) if d <= r)
+def ball_rows(g: Graph) -> list[list[int]]:
+    """rows[v][r] is the ball N_r[v] as a bitmask for r = 0..ecc(v), taken within
+    v's component, so rows[v][-1] is that component.  One bitmask BFS per
+    vertex: layer r + 1 is the neighbours of layer r that lie outside N_r[v]."""
+    nbrs = [sum(1 << u for u in row) for row in g.adj]
+    rows = []
+    for v in range(g.n):
+        row, layer = [1 << v], 1 << v
+        while layer:
+            reach = 0
+            for u in members(layer):
+                reach |= nbrs[u]
+            layer = reach & ~row[-1]
+            if layer:
+                row.append(row[-1] | layer)
+        rows.append(row)
+    return rows
 
 
 def connected_components(g: Graph) -> list[list[int]]:

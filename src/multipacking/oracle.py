@@ -4,11 +4,11 @@ Everything here is exhaustive and independent of the candidate-family
 solvers, so it can arbitrate their answers.  Witness tie-break throughout:
 maximum size first, then lexicographically smallest member tuple.
 
-Each public entry point checks its vertex cap first, then computes the
-distances it reads with `all_pairs`.  One DFS, `_search`, visits the
-multipackings in lexicographic order of sorted member tuples, passing
-`visit` each one as an int bitmask, until a call of `visit` returns a true
-value.  `enumerate_multipackings` never stops it and lists them all as
+Each public entry point checks its vertex cap first, then computes what it
+reads: its balls with `graph.ball_rows`, or its distances with `all_pairs`.
+One DFS, `_search`, passes each multipacking to `visit` as an int bitmask,
+in lexicographic order of sorted member tuples, until `visit` returns a
+true value.  `enumerate_multipackings` never stops it and lists them all as
 sorted tuples (`pathcount` reads the maximal sets from that list);
 `brute_force_mp` keeps only the best mask seen and stops once its size
 reaches the sum over components of max(1, rad), which bounds MP
@@ -23,10 +23,11 @@ v, and no radius r > |M| can overfill, so M ∪ {v} is a multipacking iff v
 is not in blocked(M).  For M' = M ∪ {v}, a ball without v keeps its count
 (at most |M|, so never full at the new radius |M| + 1), and no ball with v
 was full for M.  So blocked(M') is blocked(M) plus the balls N_r[c] with
-max(d(c, v), 1) <= r <= |M| + 1 that hold exactly r members of M'.  These
-are the oracle's own int-bitmask balls, precomputed once per search;
-`is_multipacking` remains the definitional check of a whole set, and
-nothing here comes from the solver, so the two stay independent checkers.
+max(d(c, v), 1) <= r <= |M| + 1 that hold exactly r members of M' (no
+ball of a center in another component holds v).  The solver reads the same
+`graph.ball_rows`, but this DFS shares no code with its `fits_balls`, so the
+two stay independent checkers; `is_multipacking` remains the definitional
+check of a whole set, on `all_pairs`.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import DistanceMatrix, Graph, all_pairs, connected_components
-from .graph import is_connected, members, radius_diameter
+from .graph import DistanceMatrix, Graph, all_pairs, ball_rows, is_connected, members, radius_diameter
 
 DEFAULT_MP_CAP = 22
 DEFAULT_GAMMA_CAP = 12
 
 
 def _check_cap(n: int, cap: int) -> None:
-    """Refuse graphs above the vertex cap before any distances are computed."""
+    """Refuse graphs above the vertex cap before any balls or distances are computed."""
     if n > cap:
         raise ValueError(f"n={n} exceeds cap {cap}")
 
@@ -71,30 +71,26 @@ def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool
     return True
 
 
-def _search(g: Graph, D: DistanceMatrix, visit) -> None:
-    """Call visit on the member bitmask of every multipacking of g, in
-    lexicographic order of sorted member tuples, until a call of visit
-    returns a true value.
+def _search(rows: list[list[int]], visit) -> None:
+    """Call visit on the member bitmask of every multipacking of the graph
+    with ball rows ``rows`` (``graph.ball_rows``), in lexicographic order of
+    sorted member tuples, until a call of visit returns a true value.
 
     Only extensions of multipackings are explored (they are downward
     closed), so the running time is polynomial in the output size.  Each
     node holds `free`: the vertices after its last member that are outside
     blocked(cur) (see the module docstring), each an extension to accept.
     """
-    n = g.n
-    # balls[c][r] is the bitmask of N_r[c], r = 0..n; unreachable vertices sit
-    # at distance n, past every radius read (members, v and a free vertex < n).
-    balls = [[0] * (n + 1) for _ in range(n)]
-    for c, ball in enumerate(balls):
-        for u, d in enumerate(D[c]):
-            ball[d] |= 1 << u
-        for r in range(1, n + 1):
-            ball[r] |= ball[r - 1]
-    # near[v] pairs the centers c, nearest first, with max(d(v, c), 1): the
-    # smallest radius at which N_r[c] holds v.  extend ORs whole balls, so the
-    # order among the centers of one radius does not matter.
-    near = [[(row[c] or 1, balls[c]) for c in sorted(range(n), key=row.__getitem__)]
-            for row in D]
+    n = len(rows)
+    # balls[c][r] is N_r[c] for r = 0..n; past ecc(c) it is c's component.
+    balls = [row + row[-1:] * (n + 1 - len(row)) for row in rows]
+    # near[v] pairs the centers c in v's component, nearest first, with
+    # max(d(v, c), 1): the smallest radius at which N_r[c] holds v.  extend
+    # ORs whole balls, so the order among the centers of one radius does not
+    # matter.
+    near = [[(d or 1, balls[c]) for d in range(len(row))
+             for c in members(row[d] & ~(row[d - 1] if d else 0))]
+            for row in rows]
 
     if visit(0):
         return
@@ -133,7 +129,7 @@ def enumerate_multipackings(g: Graph, cap: int = DEFAULT_MP_CAP) -> list[tuple[i
     """All multipackings of g, in lexicographic order of sorted member tuples."""
     _check_cap(g.n, cap)
     masks: list[int] = []
-    _search(g, all_pairs(g), masks.append)
+    _search(ball_rows(g), masks.append)
     return [tuple(members(m)) for m in masks]
 
 
@@ -159,14 +155,10 @@ def brute_force_mp(g: Graph, cap: int = DEFAULT_MP_CAP) -> tuple[int, tuple[int,
     disjoint union is the sum over its parts, so no larger set exists.
     """
     _check_cap(g.n, cap)
-    D = all_pairs(g)
-    n = g.n
-    ecc = [max(D[v]) for v in range(n)]
-    comps = [range(n)] if n else []
-    if n in ecc:  # disconnected: eccentricities within each component
-        ecc = [max(filter(n.__gt__, D[v])) for v in range(n)]
-        comps = connected_components(g)
-    bound = sum(max(1, min(ecc[v] for v in c)) for c in comps)
+    rows = ball_rows(g)
+    # component -> radius: a shorter row, later in the sort, overwrites a longer
+    rad = {row[-1]: len(row) - 1 for row in sorted(rows, key=len, reverse=True)}
+    bound = sum(max(1, r) for r in rad.values())
     best, best_size = 0, 0
 
     def keep(s: int) -> bool:
@@ -176,7 +168,7 @@ def brute_force_mp(g: Graph, cap: int = DEFAULT_MP_CAP) -> tuple[int, tuple[int,
             best, best_size = s, size
         return best_size >= bound
 
-    _search(g, D, keep)
+    _search(rows, keep)
     return best_size, tuple(members(best))
 
 

@@ -76,6 +76,16 @@ def _check_output_size(variant: str, vertices: int, edges: int) -> None:
         )
 
 
+def _check_hs(variant: str, inst: HittingSetInstance, floor: int, vertices: int, edges: int) -> None:
+    """Raise ValueError unless floor <= k, the output fits the caps
+    (``_check_output_size``) and k <= n, checked in that order."""
+    if inst.k < floor:
+        raise ValueError(f"{variant} reduction needs k >= {floor}")
+    _check_output_size(variant, vertices, edges)
+    if inst.k > inst.n:
+        raise ValueError(f"{variant} reduction needs k <= n = {inst.n}, got k = {inst.k}")
+
+
 def _layout(m: int, n: int, length: int):
     """Family vertices S_0..S_{m-1} at ids 0..m-1, then element i's path
     u_i^1..u_i^length at ids m + i*length + (0..length-1).
@@ -101,11 +111,7 @@ def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
     |V| = m + n(k-1); min-HS <= k iff MP >= k (2 <= k <= n).
     """
     n, m, k = inst.n, inst.m, inst.k
-    if k < 2:
-        raise ValueError("chordal reduction needs k >= 2")
-    _check_output_size("chordal", m + n * (k - 1), comb(m, 2) + n * (k - 2) + n * m)
-    if k > n:
-        raise ValueError(f"chordal reduction needs k <= n = {n}, got k = {k}")
+    _check_hs("chordal", inst, 2, m + n * (k - 1), comb(m, 2) + n * (k - 2) + n * m)
     paths, edges, labels = _layout(m, n, k - 1)
     edges += itertools.combinations(range(m), 2)
     edges += [(paths[i][0], j) for j, i in _misses(inst)]
@@ -121,14 +127,9 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
     |V| = m + n(k-1) + C(n,2); min-HS <= k iff MP >= k (3 <= k <= n).
     """
     n, m, k = inst.n, inst.m, inst.k
-    if k < 3:
-        raise ValueError("half-hyperbolic reduction needs k >= 3")
     y = comb(n, 2)
-    _check_output_size(
-        "half-hyperbolic", m + n * (k - 1) + y, n * (k - 2) + n * m + 2 * y + comb(m + y, 2)
-    )
-    if k > n:
-        raise ValueError(f"half-hyperbolic reduction needs k <= n = {n}, got k = {k}")
+    _check_hs("half-hyperbolic", inst, 3, m + n * (k - 1) + y,
+              n * (k - 2) + n * m + 2 * y + comb(m + y, 2))
     paths, edges, labels = _layout(m, n, k - 1)
     edges += [(paths[i][0], j) for j, i in _misses(inst)]
     y_base = len(labels)
@@ -175,11 +176,7 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     same in both branches.
     """
     n, m, k = inst.n, inst.m, inst.k
-    if k < 2:
-        raise ValueError("bipartite reduction needs k >= 2")
-    _check_output_size("bipartite", m + n * (k - 1) + 1, n * (k - 2) + n * m + m)
-    if k > n:
-        raise ValueError(f"bipartite reduction needs k <= n = {n}, got k = {k}")
+    _check_hs("bipartite", inst, 2, m + n * (k - 1) + 1, n * (k - 2) + n * m + m)
     paths, edges, labels = _layout(m, n, k - 1)
     join_all = k == 2 and not _hit_by_two(inst)
     links = itertools.product(range(m), range(n)) if join_all else _misses(inst)
@@ -200,15 +197,10 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
     (3 <= k <= n; k >= 3 so the element paths are nonempty).
     """
     n, m, k = inst.n, inst.m, inst.k
-    if k < 3:
-        raise ValueError("claw-free reduction needs k >= 3")
     w_max = n * m  # at most one w vertex per (set, element) pair
     w_clique = m * comb(n, 2) + n * comb(m, 2)  # w pairs sharing a set or an element
-    _check_output_size(
-        "claw-free", m + n * (k - 2) + w_max, comb(m, 2) + n * (k - 3) + 2 * w_max + w_clique
-    )
-    if k > n:
-        raise ValueError(f"claw-free reduction needs k <= n = {n}, got k = {k}")
+    _check_hs("claw-free", inst, 3, m + n * (k - 2) + w_max,
+              comb(m, 2) + n * (k - 3) + 2 * w_max + w_clique)
     paths, edges, labels = _layout(m, n, k - 2)
     edges += itertools.combinations(range(m), 2)
     w_base = len(labels)

@@ -18,9 +18,10 @@ unpruned family size without materialising it (``family_count`` runs this
 pass alone); a build pass builds each pruned list once, shares it with every
 parent and frees it after its last use.  Of the survivors, only a set that
 would beat the best so far (larger, or earlier in the tie-break) is checked
-against ball bitmasks of G precomputed once per component (``ball_masks``,
-``fits_balls``), which share no code with ``multipacking.oracle``, so
-comparing the solvers with the oracle compares two independent checkers.
+against ball bitmasks of G read once per component from ``graph.ball_rows``
+(``ball_masks``, ``fits_balls``).  The oracle reads the same rows, but its
+DFS shares no code with ``fits_balls``, so comparing the solvers with the
+oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
 families as ``frozenset``s and are the reference the kernel is tested
 against.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import DistanceMatrix, Graph, all_pairs, connected_components, induced_subgraph, members
+from .graph import Graph, ball_rows, connected_components, induced_subgraph, members
 from .rooted_tree import RootedTree, bfs_tree, classify_subtree, deepest_vertices
 
 Family = set[frozenset[int]]
@@ -192,7 +193,7 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
     vertices u, v with bit v in ``near[u]``, as bitmasks; and the size of the
     whole family.  ``near`` must be symmetric and leave out u itself.
 
-    With ``near = ball_masks(D).near`` this keeps the family members with no
+    With ``near = ball_masks(g).near`` this keeps the family members with no
     two vertices within distance 2 of G.  Pruning while building is sound:
     the radius-1 ball around a middle vertex holds both, and no superset of a
     pruned set is a multipacking either.  The count is exact without
@@ -247,16 +248,9 @@ class BallMasks(NamedTuple):
     maximal: tuple[tuple[int, ...], ...]
 
 
-def ball_masks(D: DistanceMatrix) -> BallMasks:
-    """Ball bitmasks of the connected graph with distance matrix D."""
-    rows = []  # rows[v][r] = N_r[v] for r = 0..ecc(v)
-    for dist in D:
-        row = [0] * (max(dist) + 1)
-        for u, d in enumerate(dist):
-            row[d] |= 1 << u
-        for r in range(1, len(row)):
-            row[r] |= row[r - 1]
-        rows.append(row)
+def ball_masks(g: Graph) -> BallMasks:
+    """Ball bitmasks of the connected graph g, read off ``ball_rows``."""
+    rows = ball_rows(g)
     rad = min(len(row) for row in rows) - 1
     # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
@@ -300,7 +294,7 @@ _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
 
 
 def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]:
-    balls = ball_masks(all_pairs(g))
+    balls = ball_masks(g)
     packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
     size = best = 0
     for m in packings:

@@ -190,6 +190,20 @@ def test_peo_check_tests_each_neighbour_with_one_mask():
     assert ok and sorted(peo) == list(range(600))
 
 
+@pytest.mark.parametrize("check", [is_chordal, is_clawfree])
+def test_neighbour_masks_stay_linear_on_a_long_path(check):
+    """Each neighbour mask spans only its vertex's neighbour ids: masks from
+    bit 0 would take about 24 MiB on P_20000 (n²/16 bytes)."""
+    g = path(20_000)
+    tracemalloc.start()
+    try:
+        assert check(g)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_is_chordal_examples():
     ok, peo = is_chordal(path(5))
     assert ok and check_peo(path(5), peo)

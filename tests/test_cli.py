@@ -73,6 +73,24 @@ def test_verify(p4_file, tmp_path, capsys):
     assert code == 1 and "not a multipacking" in out
 
 
+def test_repeated_members_exit_3(tmp_path, capsys):
+    # Read as a list, {0, 0, 0} overfills N_1[0] of P3; read as {0} it is a
+    # multipacking.  Neither reading is the file's, so the file is refused.
+    p3 = tmp_path / "p3.graph"
+    p3.write_text("3 2\n0 1\n1 2\n")
+    repeated = tmp_path / "repeated.set"
+    repeated.write_text("3\n0\n0\n0\n")
+    hs = tmp_path / "repeated.hs"
+    hs.write_text("3 2 2\n2 0 0\n1 2\n")
+    for argv in (["verify", str(p3), str(repeated)],
+                 ["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "x")]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 3
+        assert "repeated" in capsys.readouterr().err
+    assert not (tmp_path / "x.graph").exists()
+
+
 def test_reduce_hs_writes_files(tmp_path, capsys):
     hs = tmp_path / "inst.hs"
     hs.write_text("3 2 2\n2 0 1\n1 2\n")

@@ -93,6 +93,15 @@ def test_vertex_set_round_trip():
         parse_vertex_set("2\n1\n")
 
 
+def test_repeated_members_are_rejected_with_their_line():
+    with pytest.raises(InputError, match="line 3: repeated member 0"):
+        parse_vertex_set("3\n0\n0\n0\n")
+    with pytest.raises(InputError, match="line 2: repeated member 4"):
+        parse_vertex_set("2\n4 4\n")
+    with pytest.raises(InputError, match="line 3: repeated element"):
+        parse_hitting_set("3 2 2\n1 0\n2 0 0\n")
+
+
 def test_labels_and_claims():
     assert serialize_labels(["a", "b"]) == "0\ta\n1\tb\n"
     assert serialize_claims(("chordal",)) == "chordal\n"

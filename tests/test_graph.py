@@ -7,11 +7,13 @@ from conftest import complete, cycle, path, star
 from multipacking.graph import (
     Graph,
     all_pairs,
-    ball,
+    ball_rows,
     bfs_distances,
     biconnected_blocks,
     connected_components,
     induced_subgraph,
+    is_connected,
+    members,
     radius_diameter,
 )
 from multipacking.randgen import random_connected_graph
@@ -79,10 +81,10 @@ def test_radius_diameter_examples():
 
 
 def test_ball_examples():
-    D = all_pairs(path(4))
-    assert ball(D, 1, 1) == (0, 1, 2)
-    assert ball(D, 2, 0) == (2,)
-    assert ball(all_pairs(cycle(4)), 0, 2) == (0, 1, 2, 3)
+    rows = ball_rows(path(4))
+    assert members(rows[1][1]) == [0, 1, 2]
+    assert members(rows[2][0]) == [2]
+    assert members(ball_rows(cycle(4))[0][2]) == [0, 1, 2, 3]
 
 
 def test_ball_monotone_and_radius_cover():
@@ -91,11 +93,40 @@ def test_ball_monotone_and_radius_cover():
         g = random_connected_graph(rng.randint(2, 10), rng)
         D = all_pairs(g)
         rad, _ = radius_diameter(g, D)
+        rows = ball_rows(g)
         center = min(range(g.n), key=lambda v: max(D[v]))
-        assert len(ball(D, center, rad)) == g.n
-        for v in range(g.n):
-            for r in range(rad + 1):
-                assert set(ball(D, v, r)) <= set(ball(D, v, r + 1))
+        assert rows[center][rad] == (1 << g.n) - 1
+        for row in rows:
+            assert len(row) > rad
+            for inner, outer in zip(row, row[1:]):
+                assert inner & outer == inner != outer
+
+
+def test_ball_rows_match_all_pairs():
+    """rows[v][r] is {u : d(v, u) <= r} for r up to v's eccentricity within its
+    component, and the last row entry is that component, on every atlas graph
+    (n <= 7), on random graphs (a quarter or more disconnected) and on the
+    empty, one-vertex and edgeless graphs."""
+    graphs = [Graph.from_edges(n, []) for n in (0, 1, 5)]
+    graphs += [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    rng = random.Random(83)
+    randoms = []
+    for _ in range(120):
+        n = rng.randint(2, 16)
+        p = rng.choice((0.08, 0.2, 0.5))
+        randoms.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    assert sum(not is_connected(g) for g in randoms) >= len(randoms) // 4
+    for g in graphs + randoms:
+        D = all_pairs(g)
+        rows = ball_rows(g)
+        assert len(rows) == g.n
+        for comp in connected_components(g):
+            for v in comp:
+                row, dist = rows[v], D[v]
+                assert len(row) - 1 == max(d for d in dist if d < g.n), g.adj
+                assert row[-1] == sum(1 << u for u in comp), g.adj
+                for r, mask in enumerate(row):
+                    assert mask == sum(1 << u for u, d in enumerate(dist) if d <= r), g.adj
 
 
 def test_all_pairs_symmetric_triangle():

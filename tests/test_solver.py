@@ -149,7 +149,7 @@ def _subsets(n: int):
 
 def _assert_mask_check_agrees(g: Graph, subsets) -> None:
     D = all_pairs(g)
-    balls = ball_masks(D)
+    balls = ball_masks(g)
     for m in subsets:
         assert fits_balls(balls, sum(1 << v for v in m)) == is_multipacking(g, D, m), m
 
@@ -182,7 +182,7 @@ def test_mask_check_on_one_and_two_vertex_components():
     # Some ball rows here stop before radius 2, at the vertex's eccentricity.
     for g in (Graph.from_edges(1, []), path(2), path(3)):
         _assert_mask_check_agrees(g, _subsets(g.n))
-    assert ball_masks(all_pairs(path(2))).rad == 1
+    assert ball_masks(path(2)).rad == 1
 
 
 def test_solve_detailed_on_small_components():
@@ -266,7 +266,7 @@ def test_family_packings_drops_exactly_the_sets_with_close_pairs():
         n = rng.randint(2, 16)
         g = random_connected_graph(n, rng, rng.choice((0.3, 0.1, 1 / n)))
         D = all_pairs(g)
-        near = ball_masks(D).near
+        near = ball_masks(g).near
         t = bfs_tree(g, 0)
         for split, reference in RULES:
             ref = reference(t)
@@ -319,7 +319,7 @@ def test_family_packings_equals_unmemoised_kernel_in_order():
         else:
             g = random_connected_graph(n, rng, rng.choice((0.3, 0.1, 1 / n)))
         t = bfs_tree(g, 0)
-        for near in ([0] * n, ball_masks(all_pairs(g)).near):
+        for near in ([0] * n, ball_masks(g).near):
             for split in (split_158, split_162):
                 assert family_packings(t, split, near) == _plain_family_packings(t, split, near)
 
