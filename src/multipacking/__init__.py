@@ -24,10 +24,8 @@ from .oracle import (
     is_total_dominating,
 )
 from .rooted_tree import (
-    GadgetShape,
     RootedTree,
     bfs_tree,
-    classify_subtree,
     deepest_vertices,
 )
 from .solver import (
@@ -43,7 +41,6 @@ __all__ = [
     "Broadcast",
     "DistanceMatrix",
     "DualityReport",
-    "GadgetShape",
     "Graph",
     "RootedTree",
     "all_pairs",
@@ -56,7 +53,6 @@ __all__ = [
     "brute_force_mp",
     "candidate_family",
     "candidate_family_162",
-    "classify_subtree",
     "connected_components",
     "deepest_vertices",
     "duality_report",

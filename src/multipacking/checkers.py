@@ -2,12 +2,12 @@
 
 Positive witnesses re-verify (perfect elimination ordering, bipartition,
 ...); negative witnesses exhibit the violation (chordless cycle, odd walk,
-induced claw).  LexBFS refines bitmask classes, and the ordering check and
-the claw search read neighbour bitmasks.  Hyperbolicity is computed in exact
-half-integers from distances found by bitmask BFS inside each biconnected
-block, never from all n² distances of the graph, by a scan over far-apart
-pairs in order of decreasing distance that stops once no remaining pair can
-raise the best value.
+induced claw).  LexBFS refines bitmask classes, the ordering check reads
+neighbour sets and the claw search neighbour bitmasks.  Hyperbolicity is
+computed in exact half-integers from distances found by bitmask BFS inside
+each biconnected block, never from all n² distances of the graph, by a scan
+over far-apart pairs in order of decreasing distance that stops once no
+remaining pair can raise the best value.
 """
 
 from __future__ import annotations
@@ -58,28 +58,23 @@ def lexbfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _neighbour_masks(g: Graph) -> tuple[list[int], list[int]]:
-    """(lo, masks): masks[v] << lo[v] is v's neighbour bitmask, lo[v] its lowest
-    neighbour (0 if none).  So each mask spans only v's neighbour ids, and on
-    a path they total O(n) words, where masks from bit 0 take n²/16 bytes."""
-    lo = [row[0] if row else 0 for row in g.adj]
-    return lo, [sum(1 << u - b for u in row) for b, row in zip(lo, g.adj)]
-
-
 def _verify_peo(g: Graph, peo: list[int]) -> Optional[tuple[int, int, int]]:
     """None if peo is a perfect elimination ordering, else a failing triple
     (v, p, w): p and w occur after v, both adjacent to v, but not adjacent;
-    p is v's first later neighbour in peo and w the lowest id that fails."""
-    lo, nbrs = _neighbour_masks(g)
+    p is v's first later neighbour in peo and w the lowest id that fails.
+    p's neighbour set is built once per distinct p: O(n + m) time and memory."""
     pos = {v: i for i, v in enumerate(peo)}
+    nbrs: dict[int, set[int]] = {}
     for i, v in enumerate(peo):
         later = [u for u in g.adj[v] if pos[u] > i]
         if len(later) < 2:
             continue
         p = min(later, key=pos.__getitem__)
-        missing = sum(1 << w for w in later) & ~(nbrs[p] << lo[p]) & ~(1 << p)
-        if missing:
-            return v, p, (missing & -missing).bit_length() - 1
+        if p not in nbrs:
+            nbrs[p] = set(g.adj[p])
+        for w in later:
+            if w != p and w not in nbrs[p]:
+                return v, p, w
     return None
 
 
@@ -159,7 +154,10 @@ def is_clawfree(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """(True, None) or (False, (center, x, y, z)) for the first induced claw by
     center, then leaves x < y < z: y and z are in ``rest``, c's neighbours
     above x not adjacent to x, and z is above y and not adjacent to it."""
-    lo, nbrs = _neighbour_masks(g)
+    # nbrs[v] << lo[v] is v's neighbour mask, lo[v] its lowest neighbour: O(n)
+    # words on a path, but on a fan every rim mask reaches the hub, Θ(n²) bits
+    lo = [row[0] if row else 0 for row in g.adj]
+    nbrs = [sum(1 << u - b for u in row) for b, row in zip(lo, g.adj)]
     for c in range(g.n):
         for x in g.adj[c]:
             rest = nbrs[c] << lo[c] & ~(nbrs[x] << lo[x]) & -(2 << x)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import checkers, formats, pathcount, randgen, reductions, solver
 from .graph import all_pairs
-from .oracle import brute_force_mp, duality_report, enumerate_multipackings, is_multipacking
+from .oracle import DEFAULT_MP_CAP, brute_force_mp, duality_report, enumerate_multipackings, is_multipacking
 from .rooted_tree import bfs_tree
 
 JSON_SCHEMA = "multipacking-report/1"
@@ -146,6 +146,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_count(args) -> int:
+    upto = min(args.verify_upto, args.n)
+    if args.verify_upto < 0:
+        raise ValueError(f"--verify-upto must be >= 0, got {args.verify_upto}")
+    if upto > DEFAULT_MP_CAP:
+        raise ValueError(f"--verify-upto enumerates paths up to n={upto}, above cap {DEFAULT_MP_CAP}")
     counts = (
         pathcount.count_all_path(args.n)
         if args.kind == "all"
@@ -154,8 +159,7 @@ def cmd_count(args) -> int:
     print("n count")
     for i, c in enumerate(counts, start=1):
         print(f"{i} {c}")
-    if args.verify_upto:
-        upto = min(args.verify_upto, args.n)
+    if upto:
         for i in range(1, upto + 1):
             p = pathcount.path_graph(i)
             observed = (

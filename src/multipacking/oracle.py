@@ -4,8 +4,9 @@ Everything here is exhaustive and independent of the candidate-family
 solvers, so it can arbitrate their answers.  Witness tie-break throughout:
 maximum size first, then lexicographically smallest member tuple.
 
-Each public entry point checks its vertex cap first, then computes what it
-reads: its balls with `graph.ball_rows`, or its distances with `all_pairs`.
+Each search checks its vertex cap first, then reads its balls from
+`graph.ball_rows`; only `is_multipacking` and `is_dominating_broadcast`, the
+definitional referees of the searches, read distances (their caller's D).
 One DFS, `_search`, passes each multipacking to `visit` as an int bitmask,
 in lexicographic order of sorted member tuples, until `visit` returns a
 true value.  `enumerate_multipackings` never stops it and lists them all as
@@ -26,8 +27,7 @@ was full for M.  So blocked(M') is blocked(M) plus the balls N_r[c] with
 max(d(c, v), 1) <= r <= |M| + 1 that hold exactly r members of M' (no
 ball of a center in another component holds v).  The solver reads the same
 `graph.ball_rows`, but this DFS shares no code with its `fits_balls`, so the
-two stay independent checkers; `is_multipacking` remains the definitional
-check of a whole set, on `all_pairs`.
+two stay independent checkers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import DistanceMatrix, Graph, all_pairs, ball_rows, is_connected, members, radius_diameter
+from .graph import DistanceMatrix, Graph, ball_rows, members
 
 DEFAULT_MP_CAP = 22
 DEFAULT_GAMMA_CAP = 12
@@ -232,34 +232,33 @@ def brute_force_gamma_b(g: Graph, cap: int = DEFAULT_GAMMA_CAP) -> tuple[int, Br
     """Exact broadcast domination number by ascending-cost exhaustive search.
 
     An optimal broadcast exists with all powers <= rad(G), so the search
-    terminates at cost rad(G) (cost 1 for the single-vertex graph).
+    terminates at cost rad(G) (cost 1 for the single-vertex graph).  Power
+    vectors run in lexicographic order, each carrying its covered mask: power
+    p >= 1 at v covers the ball N_p[v], all of V once p reaches ecc(v).
     """
     _check_cap(g.n, cap)
-    if not is_connected(g) or g.n == 0:
+    rows = ball_rows(g)
+    if g.n == 0 or rows[0][-1] != (1 << g.n) - 1:
         raise ValueError("broadcast domination requires a connected nonempty graph")
-    D = all_pairs(g)
-    rad, _ = radius_diameter(g, D)
-    pmax = max(rad, 1)
+    pmax = max(min(map(len, rows)) - 1, 1)
     powers = [0] * g.n
 
-    def rec(v: int, rem: int) -> Optional[Broadcast]:
+    def rec(v: int, rem: int, covered: int) -> bool:
         if rem == 0:
-            f = Broadcast(tuple(powers))
-            return f if is_dominating_broadcast(g, D, f) else None
+            return covered == rows[0][-1]
         if v == g.n:
-            return None
+            return False
         for p in range(0, min(pmax, rem) + 1):
             powers[v] = p
-            found = rec(v + 1, rem - p)
-            if found is not None:
-                return found
-            powers[v] = 0
-        return None
+            ball = rows[v][min(p, len(rows[v]) - 1)] if p else 0
+            if rec(v + 1, rem - p, covered | ball):
+                return True
+        powers[v] = 0
+        return False
 
     for cost in range(1, pmax + 1):
-        found = rec(0, cost)
-        if found is not None:
-            return cost, found
+        if rec(0, cost, 0):
+            return cost, Broadcast(tuple(powers))
     raise AssertionError("unreachable: a central vertex at full power dominates")
 
 
@@ -283,8 +282,9 @@ def duality_report(
     """Exact MP vs gamma_b comparison with both duality bounds checked."""
     from .checkers import is_chordal  # local import: checkers has no oracle dep
 
-    mp, witness = brute_force_mp(g, cap=mp_cap)
+    # gamma_b first: its cap of 12 and its connectivity check refuse at once
     gamma, f = brute_force_gamma_b(g, cap=gamma_cap)
+    mp, witness = brute_force_mp(g, cap=mp_cap)
     chordal, _ = is_chordal(g)
     chordal_ok = (gamma <= -(-3 * mp // 2)) if chordal else None
     return DualityReport(

@@ -1,12 +1,12 @@
-"""Rooted trees whose surgery is one mask operation, and gadget-shape classification.
+"""Rooted trees whose surgery is one mask operation.
 
 ``bfs_tree`` and ``RootedTree.from_parents`` compute a tree's arrays once,
 indexed by vertex id: parent, child masks, depth, depth-layer masks and
 subtree masks.  A tree obtained by surgery shares those arrays and differs
 only in ``alive``, the int bitmask of the vertices still present, so
-``remove_subtree`` and ``remove_leaf`` are O(1) mask operations and shapes
-are read from child masks ANDed with ``alive``.  Vertex ids are preserved
-across removals.  The empty tree has height -1.
+``remove_subtree`` and ``remove_leaf`` are O(1) mask operations, and the
+solver reads gadget shapes from child masks ANDed with ``alive``.  Vertex
+ids are preserved across removals.  The empty tree has height -1.
 """
 
 from __future__ import annotations
@@ -126,41 +126,11 @@ class RootedTree:
         return self._cut(self.alive & ~(1 << w))
 
 
-class GadgetShape(NamedTuple):
-    """Structural class of a subtree: height-1 star, height-2 spider, or other."""
-
-    kind: str  # "H1" | "H2" | "other"
-    k: int = 0
-    k1: int = 0
-    k2: int = 0
-
-
 def deepest_vertices(t: RootedTree) -> list[int]:
     """All vertices of maximum depth, ascending ids."""
     if t.is_empty():
         return []
     return members(t.arrays.layers[t.height] & t.alive)
-
-
-def classify_subtree(t: RootedTree, u: int) -> GadgetShape:
-    """Classify the subtree rooted at u as a star H1(k), spider H2(k1,k2), or other.
-
-    H1(k): all children of u are leaves.  H2(k1,k2): the subtree has height
-    exactly 2, each depth-1 child that has children has exactly one child
-    (a leaf); k1 counts those legs and k2 the leaf children of u.
-    """
-    t._check(u)
-    kids, alive = t.arrays.kids, t.alive
-    k1 = k2 = 0
-    for c in members(kids[u] & alive):
-        grand = kids[c] & alive
-        if not grand:
-            k2 += 1
-        elif grand & (grand - 1) or kids[grand.bit_length() - 1] & alive:
-            return GadgetShape("other")
-        else:
-            k1 += 1
-    return GadgetShape("H2", k1=k1, k2=k2) if k1 else GadgetShape("H1", k=k2)
 
 
 def bfs_tree(g: Graph, root: int) -> RootedTree:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Graph, ball_rows, connected_components, induced_subgraph, members
-from .rooted_tree import RootedTree, bfs_tree, classify_subtree, deepest_vertices
+from .rooted_tree import RootedTree, bfs_tree, deepest_vertices
 
 Family = set[frozenset[int]]
 
@@ -43,14 +43,14 @@ def enumerate_h1(vertex_ids: Iterable[int]) -> Family:
 
 
 def h2_roles(t: RootedTree, u: int) -> tuple[list[int], list[int], list[int]]:
-    """Leg tops A, leg bottoms B, and leaf children C of an H2-shaped subtree."""
-    shape = classify_subtree(t, u)
-    if shape.kind != "H2":
-        raise ValueError(f"subtree at {u} is {shape.kind}, not H2")
+    """Leg tops A, leg bottoms B, and leaf children C of an H2-shaped subtree,
+    read from child masks: each a in A has exactly one kid b, itself a leaf."""
     kids, alive = t.arrays.kids, t.alive
     A = [c for c in members(kids[u] & alive) if kids[c] & alive]
-    C = [c for c in members(kids[u] & alive) if not kids[c] & alive]
-    return A, [(kids[a] & alive).bit_length() - 1 for a in A], C
+    B = [(kids[a] & alive).bit_length() - 1 for a in A]
+    if not A or any(kids[a] & alive != 1 << b or kids[b] & alive for a, b in zip(A, B)):
+        raise ValueError(f"subtree at {u} is not H2")
+    return A, B, [c for c in members(kids[u] & alive) if not kids[c] & alive]
 
 
 def spider_masks(t: RootedTree, u: int) -> list[int]:

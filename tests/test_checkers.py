@@ -180,9 +180,9 @@ def test_verify_peo_matches_its_reference():
 
 
 def test_peo_check_tests_each_neighbour_with_one_mask():
-    """Each later neighbour is tested against a neighbour bitmask, not by a
-    scan of an adjacency tuple, which is cubic on complete graphs (about
-    0.4 s for K_600)."""
+    """Each later neighbour is looked up in a neighbour set built once per
+    distinct p, not found by a scan of an adjacency tuple, which is cubic on
+    complete graphs (about 0.4 s for K_600)."""
     g = complete(600)
     start = time.perf_counter()
     ok, peo = is_chordal(g)
@@ -192,8 +192,9 @@ def test_peo_check_tests_each_neighbour_with_one_mask():
 
 @pytest.mark.parametrize("check", [is_chordal, is_clawfree])
 def test_neighbour_masks_stay_linear_on_a_long_path(check):
-    """Each neighbour mask spans only its vertex's neighbour ids: masks from
-    bit 0 would take about 24 MiB on P_20000 (n²/16 bytes)."""
+    """The ordering check holds neighbour sets and the claw search masks that
+    span only their vertex's neighbour ids: masks from bit 0 would take about
+    24 MiB on P_20000 (n²/16 bytes)."""
     g = path(20_000)
     tracemalloc.start()
     try:
@@ -202,6 +203,31 @@ def test_neighbour_masks_stay_linear_on_a_long_path(check):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def fan(n: int) -> Graph:
+    """Hub 0 joined to every vertex of the path 1..n-1."""
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+def relabelled_path(n: int, seed: int) -> Graph:
+    label = random.Random(seed).sample(range(n), n)
+    return Graph.from_edges(n, [(label[i], label[i + 1]) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("g", [fan(20_000), relabelled_path(20_000, 1)])
+def test_chordal_check_stays_linear_when_neighbour_ids_spread(g):
+    """Neighbour masks spanning each vertex's neighbour ids still grow about
+    4x per doubling of n here (every rim vertex of the fan is adjacent to the
+    hub, and a relabelled path's neighbours lie far apart); the neighbour
+    sets of the ordering check take O(n + m) memory."""
+    tracemalloc.start()
+    try:
+        assert is_chordal(g)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_is_chordal_examples():

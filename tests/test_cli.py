@@ -200,6 +200,17 @@ def test_count(capsys):
     assert code == 0 and "verified against enumeration up to n=8" in out
 
 
+@pytest.mark.parametrize("argv", [["-n", "5", "--verify-upto", "-3"], ["-n", "25", "--verify-upto", "25"]])
+def test_count_rejects_out_of_range_verify_upto(capsys, argv):
+    """A negative bound, or one that would enumerate paths above the oracle's
+    cap, exits 3 with one input error line before the table is printed."""
+    code = main(["count", "paths", *argv])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: --verify-upto")
+
+
 def test_duality(p4_file, capsys):
     code, out = run(capsys, "duality", p4_file)
     assert code == 0

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import networkx as nx
 import pytest
 
 from conftest import complete, cycle, path, star
@@ -359,6 +360,61 @@ def test_gamma_b_witness_verifies():
         cost, f = brute_force_gamma_b(g)
         assert f.cost == cost
         assert is_dominating_broadcast(g, D, f)
+
+
+def _reference_gamma_b(g):
+    """Reference search: every power vector with powers <= max(rad, 1), in
+    ascending cost and then lexicographic order, each judged whole by
+    is_dominating_broadcast on all_pairs."""
+    D = all_pairs(g)
+    pmax = max(radius_diameter(g, D)[0], 1)
+    powers = [0] * g.n
+
+    def rec(v, rem):
+        if rem == 0:
+            f = Broadcast(tuple(powers))
+            return f if is_dominating_broadcast(g, D, f) else None
+        if v == g.n:
+            return None
+        for p in range(min(pmax, rem) + 1):
+            powers[v] = p
+            found = rec(v + 1, rem - p)
+            if found is not None:
+                return found
+            powers[v] = 0
+        return None
+
+    for cost in range(1, pmax + 1):
+        found = rec(0, cost)
+        if found is not None:
+            return cost, found
+
+
+def test_gamma_b_matches_the_reference_search():
+    """The search on ball-row masks returns the same cost and powers as the
+    per-leaf definitional check, on every connected atlas graph and on
+    seeded connected graphs up to the cap."""
+    graphs = [
+        Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+        for h in nx.graph_atlas_g()
+        if h.number_of_nodes() and nx.is_connected(h)
+    ]
+    rng = random.Random(23)
+    graphs += [random_connected_graph(rng.randint(1, 12), rng, rng.choice((0.0, 0.1, 0.3))) for _ in range(200)]
+    for g in graphs:
+        assert brute_force_gamma_b(g) == _reference_gamma_b(g), g.adj
+
+
+@pytest.mark.parametrize("g", [path(13), Graph.from_edges(3, [(0, 1)])])
+def test_duality_report_refuses_before_the_mp_search(g, monkeypatch):
+    """gamma_b's cap of 12 and its connectivity check run before the MP search."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("brute_force_mp ran")
+
+    monkeypatch.setattr("multipacking.oracle.brute_force_mp", fail)
+    with pytest.raises(ValueError):
+        duality_report(g)
 
 
 def test_duality_report_p4():

@@ -1,12 +1,7 @@
 import pytest
 
-from conftest import path, star, tree_catalog
-from multipacking.rooted_tree import (
-    RootedTree,
-    bfs_tree,
-    classify_subtree,
-    deepest_vertices,
-)
+from conftest import classify_subtree, path, star, tree_catalog
+from multipacking.rooted_tree import RootedTree, bfs_tree, deepest_vertices
 
 
 def chain(n):

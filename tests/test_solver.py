@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import cycle, path, star, tree_catalog
+from conftest import classify_subtree, cycle, path, star, tree_catalog
 from multipacking.graph import Graph, all_pairs
 from multipacking.oracle import (
     brute_force_mp,
@@ -11,7 +11,7 @@ from multipacking.oracle import (
     is_multipacking,
 )
 from multipacking.randgen import random_connected_graph, random_tree
-from multipacking.rooted_tree import RootedTree, bfs_tree, classify_subtree, deepest_vertices
+from multipacking.rooted_tree import RootedTree, bfs_tree, deepest_vertices
 from multipacking.solver import (
     ball_masks,
     candidate_family,
@@ -39,12 +39,24 @@ def test_enumerate_h1_counts():
         assert frozenset() in fam
 
 
-def test_h2_roles():
+def test_h2_roles(trees_up_to_9):
     sp = spider(2, 1)
     A, B, C = h2_roles(sp, 0)
     assert A == [1, 2] and B == [3, 4] and C == [5]
     with pytest.raises(ValueError):
         h2_roles(bfs_tree(star(3), 0), 0)
+    # h2_roles accepts exactly the subtrees the reference classifies as H2
+    for g in trees_up_to_9:
+        for r in range(g.n):
+            t = bfs_tree(g, r)
+            for u in range(g.n):
+                shape = classify_subtree(t, u)
+                if shape.kind == "H2":
+                    A, B, C = h2_roles(t, u)
+                    assert (len(A), len(C)) == (shape.k1, shape.k2)
+                else:
+                    with pytest.raises(ValueError):
+                        h2_roles(t, u)
 
 
 def test_enumerate_h2_closed_form():

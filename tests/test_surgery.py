@@ -8,8 +8,9 @@ recursion cannot leak from one sibling into another.
 
 import random
 
+from conftest import classify_subtree
 from multipacking.randgen import random_tree
-from multipacking.rooted_tree import RootedTree, bfs_tree, classify_subtree, deepest_vertices
+from multipacking.rooted_tree import RootedTree, bfs_tree, deepest_vertices
 
 
 def rebuilt(root, parent_of):
