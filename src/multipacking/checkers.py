@@ -219,10 +219,13 @@ def hyperbolicity(g: Graph) -> Fraction:
             row = [0] * n
             prev, layer, seen, k, end = 0, 1 << s, 1 << s, 0, 0
             while layer:
-                reach = 0
-                for v in members(layer):
+                reach, rest = 0, layer
+                while rest:
+                    low = rest & -rest
+                    v = low.bit_length() - 1
                     row[v] = k
                     reach |= nbrs[v]
+                    rest ^= low
                 end |= prev & ~reach
                 prev, layer, k = layer, reach & ~seen, k + 1
                 seen |= layer

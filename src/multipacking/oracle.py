@@ -87,10 +87,9 @@ def _search(rows: list[list[int]], visit) -> None:
     # near[v] pairs the centers c in v's component, nearest first, with
     # max(d(v, c), 1): the smallest radius at which N_r[c] holds v.  extend
     # ORs whole balls, so the order among the centers of one radius does not
-    # matter.
-    near = [[(d or 1, balls[c]) for d in range(len(row))
-             for c in members(row[d] & ~(row[d - 1] if d else 0))]
-            for row in rows]
+    # matter.  Each list is built the first time the DFS extends from v, so
+    # a search that stops early pays only for the vertices it reached.
+    near: list[Optional[list[tuple[int, list[int]]]]] = [None] * n
 
     if visit(0):
         return
@@ -106,7 +105,12 @@ def _search(rows: list[list[int]], visit) -> None:
                 return True
             if free:  # the child's free vertices are some of these
                 full = 0
-                for lo, ball in near[low.bit_length() - 1]:
+                v = low.bit_length() - 1
+                if near[v] is None:
+                    row = rows[v]
+                    near[v] = [(d or 1, balls[c]) for d in range(len(row))
+                               for c in members(row[d] & ~(row[d - 1] if d else 0))]
+                for lo, ball in near[v]:
                     if lo > size:
                         break
                     # counts grow with r but never pass it: a count k < r rules

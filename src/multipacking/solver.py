@@ -256,8 +256,12 @@ def ball_masks(g: Graph) -> BallMasks:
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
     maximal: list[tuple[int, ...]] = [()] * max(rad, 2)
     for r in range(2, rad):
-        balls = {row[r] for row in rows}
-        maximal[r] = tuple(b for b in balls if not any(b != c and b & c == b for c in balls))
+        # Largest first: a ball that holds b is kept or held by a kept ball.
+        kept: list[int] = []
+        for b in sorted({row[r] for row in rows}, key=int.bit_count, reverse=True):
+            if not any(b & c == b for c in kept):
+                kept.append(b)
+        maximal[r] = tuple(kept)
     return BallMasks(rad, near, tuple(maximal))
 
 

@@ -129,6 +129,34 @@ def test_ball_rows_match_all_pairs():
                     assert mask == sum(1 << u for u, d in enumerate(dist) if d <= r), g.adj
 
 
+def _clique_with_path(a, b):
+    """K_a with a path of b further vertices hung off vertex a - 1."""
+    clique = [(u, v) for u in range(a) for v in range(u + 1, a)]
+    return Graph.from_edges(a + b, clique + [(v, v + 1) for v in range(a - 1, a + b - 1)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_clique_with_path(a, b) for a, b in ((3, 1), (20, 40), (60, 60), (100, 100), (180, 20), (10, 190))]
+    + [Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+       for h in (nx.barbell_graph(5, 2), nx.barbell_graph(30, 40), nx.barbell_graph(90, 20), nx.barbell_graph(8, 184))],
+    ids=lambda g: f"n{g.n}-m{g.num_edges()}",
+)
+def test_ball_rows_match_all_pairs_on_dense_and_long_graphs(g):
+    """Dense blocks joined by long paths, up to n = 200: wide BFS layers in
+    the clique, one-vertex layers along the path."""
+    rows = ball_rows(g)
+    for v, dist in enumerate(all_pairs(g)):
+        layers = [0] * (max(dist) + 1)
+        for u, d in enumerate(dist):
+            layers[d] |= 1 << u
+        expected, ball = [], 0
+        for layer in layers:
+            ball |= layer
+            expected.append(ball)
+        assert rows[v] == expected, v
+
+
 def test_all_pairs_symmetric_triangle():
     rng = random.Random(9)
     for _ in range(25):

@@ -208,6 +208,38 @@ def test_search_stops_at_the_first_true_visit():
         assert [tuple(members(m)) for m in seen] == every[:k]
 
 
+def test_center_lists_are_built_on_first_use(monkeypatch):
+    """brute_force_mp(K_{1,63}) stops at its first singleton, the radius bound
+    1, before the DFS extends from any vertex, so it builds no center list:
+    the only member listing is the witness's."""
+    calls = []
+
+    def spy(mask):
+        calls.append(mask)
+        return members(mask)
+
+    monkeypatch.setattr("multipacking.oracle.members", spy)
+    assert brute_force_mp(star(63), cap=64) == (1, (0,))
+    assert calls == [1]
+
+
+def test_search_stops_at_the_first_true_visit_on_a_disconnected_graph():
+    """An early stop on a graph with several components, an isolated vertex
+    among them, visits exactly a prefix of the full listing."""
+    g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+    every = enumerate_multipackings(g)
+    assert len(every) > 50
+    for k in range(1, len(every) + 1):
+        seen = []
+
+        def visit(s):
+            seen.append(s)
+            return len(seen) == k
+
+        _search(ball_rows(g), visit)
+        assert [tuple(members(m)) for m in seen] == every[:k]
+
+
 def _radius_bound(g):
     """Sum over the components of max(1, rad), each component taken alone."""
     total = 0

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import classify_subtree, cycle, path, star, tree_catalog
-from multipacking.graph import Graph, all_pairs
+from multipacking.graph import Graph, all_pairs, is_connected
 from multipacking.oracle import (
     brute_force_mp,
     enumerate_multipackings,
@@ -195,6 +196,22 @@ def test_mask_check_on_one_and_two_vertex_components():
     for g in (Graph.from_edges(1, []), path(2), path(3)):
         _assert_mask_check_agrees(g, _subsets(g.n))
     assert ball_masks(path(2)).rad == 1
+
+
+def test_maximal_balls_match_the_quadratic_filter():
+    """ball_masks keeps, per radius, the same maximal balls as the filter
+    that tests every distinct ball against every other, with balls read off
+    all_pairs, on the connected atlas graphs and on seeded trees."""
+    graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+    rng = random.Random(31)
+    graphs = [g for g in graphs if is_connected(g)] + [random_tree(rng.randint(2, 40), rng) for _ in range(150)]
+    for g in graphs:
+        D = all_pairs(g)
+        maximal = ball_masks(g).maximal
+        for r in range(2, len(maximal)):
+            balls = {sum(1 << u for u, d in enumerate(row) if d <= r) for row in D}
+            expected = {b for b in balls if not any(b != c and b & c == b for c in balls)}
+            assert len(maximal[r]) == len(expected) and set(maximal[r]) == expected, g.adj
 
 
 def test_solve_detailed_on_small_components():
