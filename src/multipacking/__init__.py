@@ -9,10 +9,8 @@ from .graph import (
     connected_components,
     induced_subgraph,
     is_connected,
-    radius_diameter,
 )
 from .oracle import (
-    Broadcast,
     DualityReport,
     brute_force_gamma_b,
     brute_force_min_hs,
@@ -38,7 +36,6 @@ from .solver import (
 )
 
 __all__ = [
-    "Broadcast",
     "DistanceMatrix",
     "DualityReport",
     "Graph",
@@ -65,5 +62,4 @@ __all__ = [
     "is_total_dominating",
     "max_multipacking_158",
     "max_multipacking_162",
-    "radius_diameter",
 ]

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage
-error (argparse default), 3 malformed input.
+error (argparse default), 3 malformed input (``input error: ...``) or a
+file that cannot be read or written (``error: ...``).
 """
 
 from __future__ import annotations
@@ -23,24 +24,8 @@ JSON_SCHEMA = "multipacking-report/1"
 BENCH_MAX_N = 200  # `bench family --max-n` bound; five n = 200 trees count in 0.3 s
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(3)
-
-
-def _parse(parser_fn, text: str):
-    try:
-        return parser_fn(text)
-    except formats.InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        raise SystemExit(3)
-
-
 def cmd_solve(args) -> int:
-    g = _parse(formats.parse_graph, _read(args.graph))
+    g = formats.parse_graph(Path(args.graph).read_text())
     t0 = time.perf_counter()
     family_size = None
     if args.algo == "brute":
@@ -74,8 +59,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _parse(formats.parse_graph, _read(args.graph))
-    members = _parse(formats.parse_vertex_set, _read(args.set_file))
+    g = formats.parse_graph(Path(args.graph).read_text())
+    members = formats.parse_vertex_set(Path(args.set_file).read_text())
     ok = is_multipacking(g, all_pairs(g), members)
     print("multipacking" if ok else "not a multipacking")
     return 0 if ok else 1
@@ -97,14 +82,14 @@ HS_VARIANTS = {  # `reduce hs --variant` name -> builder, in `--help` order
 
 
 def cmd_reduce_hs(args) -> int:
-    inst = _parse(formats.parse_hitting_set, _read(args.hs_file))
+    inst = formats.parse_hitting_set(Path(args.hs_file).read_text())
     out = HS_VARIANTS[args.variant](inst)
     _write_reduction(out, args.out)
     return 0
 
 
 def cmd_reduce_tds(args) -> int:
-    g = _parse(formats.parse_graph, _read(args.graph))
+    g = formats.parse_graph(Path(args.graph).read_text())
     if args.variant == "regular":
         out = reductions.reduce_tds_regular(g, args.k)
     else:
@@ -114,7 +99,7 @@ def cmd_reduce_tds(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = _parse(formats.parse_graph, _read(args.graph))
+    g = formats.parse_graph(Path(args.graph).read_text())
     all_ok = True
     for prop in args.props.split(","):
         prop = prop.strip()
@@ -175,12 +160,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    g = _parse(formats.parse_graph, _read(args.graph))
+    g = formats.parse_graph(Path(args.graph).read_text())
     rep = duality_report(g)
     print(f"mp                {rep.mp}")
     print(f"gamma_b           {rep.gamma_b}")
     print(f"mp_witness        {' '.join(map(str, rep.mp_witness)) or '-'}")
-    print(f"broadcast_powers  {' '.join(map(str, rep.broadcast_witness.powers))}")
+    print(f"broadcast_powers  {' '.join(map(str, rep.broadcast_witness))}")
     print(f"bound_2mp3_ok     {rep.bound_2mp3_ok}")
     print(f"bound_chordal_ok  {rep.bound_chordal_ok}")
     return 0 if rep.bound_2mp3_ok and rep.mp <= rep.gamma_b else 1
@@ -276,6 +261,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 3
 
 

@@ -53,11 +53,6 @@ class Graph:
             adj = _SHARED_ROWS.setdefault(adj, adj)
         return Graph(n, adj)
 
-    @property
-    def inf(self) -> int:
-        """Distance sentinel for unreachable pairs."""
-        return self.n
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -119,20 +114,6 @@ def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
     return g.n not in bfs_distances(g, 0)
-
-
-def radius_diameter(g: Graph, D: DistanceMatrix) -> tuple[int, int]:
-    """(rad, diam) of a connected graph; raises on disconnected input."""
-    if g.n == 0:
-        raise ValueError("radius undefined for the empty graph")
-    inf = g.n
-    ecc = []
-    for v in range(g.n):
-        e = max(D[v])
-        if e >= inf:
-            raise ValueError("radius undefined for disconnected graphs")
-        ecc.append(e)
-    return min(ecc), max(ecc)
 
 
 def ball_rows(g: Graph) -> list[list[int]]:

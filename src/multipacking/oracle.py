@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .checkers import is_chordal
 from .graph import DistanceMatrix, Graph, ball_rows, members
 
 DEFAULT_MP_CAP = 22
@@ -212,28 +213,21 @@ def brute_force_min_hs(
     raise AssertionError("unreachable: the whole universe hits every nonempty set")
 
 
-@dataclass(frozen=True)
-class Broadcast:
-    """Per-vertex powers f(v) >= 0; cost is the total power."""
-
-    powers: tuple[int, ...]
-
-    @property
-    def cost(self) -> int:
-        return sum(self.powers)
-
-
-def is_dominating_broadcast(g: Graph, D: DistanceMatrix, f: Broadcast) -> bool:
-    supports = [v for v, p in enumerate(f.powers) if p >= 1]
+def is_dominating_broadcast(g: Graph, D: DistanceMatrix, powers: Sequence[int]) -> bool:
+    """True iff the broadcast f(v) = powers[v] dominates g: every vertex lies
+    within distance powers[v] of some v with powers[v] >= 1."""
+    supports = [v for v, p in enumerate(powers) if p >= 1]
     if not supports:
         return g.n == 0
     return all(
-        any(D[v][u] <= f.powers[v] for v in supports) for u in range(g.n)
+        any(D[v][u] <= powers[v] for v in supports) for u in range(g.n)
     )
 
 
-def brute_force_gamma_b(g: Graph, cap: int = DEFAULT_GAMMA_CAP) -> tuple[int, Broadcast]:
-    """Exact broadcast domination number by ascending-cost exhaustive search.
+def brute_force_gamma_b(g: Graph, cap: int = DEFAULT_GAMMA_CAP) -> tuple[int, tuple[int, ...]]:
+    """Exact broadcast domination number and an optimal broadcast, as
+    (cost, powers) with powers[v] = f(v) and cost = sum(powers), by
+    ascending-cost exhaustive search.
 
     An optimal broadcast exists with all powers <= rad(G), so the search
     terminates at cost rad(G) (cost 1 for the single-vertex graph).  Power
@@ -262,7 +256,7 @@ def brute_force_gamma_b(g: Graph, cap: int = DEFAULT_GAMMA_CAP) -> tuple[int, Br
 
     for cost in range(1, pmax + 1):
         if rec(0, cost, 0):
-            return cost, Broadcast(tuple(powers))
+            return cost, tuple(powers)
     raise AssertionError("unreachable: a central vertex at full power dominates")
 
 
@@ -273,7 +267,7 @@ class DualityReport:
     mp: int
     gamma_b: int
     mp_witness: tuple[int, ...]
-    broadcast_witness: Broadcast
+    broadcast_witness: tuple[int, ...]  # powers f(v), as brute_force_gamma_b gives them
     bound_2mp3_ok: bool
     bound_chordal_ok: Optional[bool]  # None when the graph is not chordal
 
@@ -284,8 +278,6 @@ def duality_report(
     gamma_cap: int = DEFAULT_GAMMA_CAP,
 ) -> DualityReport:
     """Exact MP vs gamma_b comparison with both duality bounds checked."""
-    from .checkers import is_chordal  # local import: checkers has no oracle dep
-
     # gamma_b first: its cap of 12 and its connectivity check refuse at once
     gamma, f = brute_force_gamma_b(g, cap=gamma_cap)
     mp, witness = brute_force_mp(g, cap=mp_cap)

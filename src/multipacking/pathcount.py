@@ -7,7 +7,7 @@ exponentially and overflow fixed-width types near n = 90.
 from __future__ import annotations
 
 from .graph import Graph
-from .oracle import DEFAULT_MP_CAP, enumerate_multipackings
+from .oracle import enumerate_multipackings
 
 
 def path_graph(n: int) -> Graph:
@@ -39,14 +39,12 @@ def count_maximal_path(N: int) -> list[int]:
     return c[3:N + 3]
 
 
-def enumerate_maximal_multipackings(
-    g: Graph, cap: int = DEFAULT_MP_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_maximal_multipackings(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal multipackings of g, in lexicographic order.
 
     Multipackings are downward closed, so a set is not maximal iff it is
     some multipacking with one member dropped.
     """
-    fam = enumerate_multipackings(g, cap=cap)
+    fam = enumerate_multipackings(g)
     dropped = {s[:i] + s[i + 1:] for s in fam for i in range(len(s))}
     return [m for m in fam if m not in dropped]

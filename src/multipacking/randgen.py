@@ -19,8 +19,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         raise ValueError("need n >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     prufer = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in prufer:
@@ -50,12 +48,12 @@ def random_connected_graph(n: int, rng: random.Random, extra_edge_prob: float = 
     return Graph.from_edges(n, edges)
 
 
-def random_connected_chordal(n: int, rng: random.Random, max_clique: int = 3) -> Graph:
+def random_connected_chordal(n: int, rng: random.Random) -> Graph:
     """Random connected chordal graph by incremental clique attachment.
 
-    Each new vertex connects to a nonempty subset of a previously recorded
-    clique, so its earlier neighbors always form a clique (a reversed
-    perfect elimination ordering).
+    Each new vertex connects to one to three vertices of a previously
+    recorded clique, so its earlier neighbors always form a clique (a
+    reversed perfect elimination ordering).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -63,7 +61,7 @@ def random_connected_chordal(n: int, rng: random.Random, max_clique: int = 3) ->
     edges: list[tuple[int, int]] = []
     for v in range(1, n):
         base = rng.choice(cliques)
-        size = rng.randint(1, min(len(base), max_clique))
+        size = rng.randint(1, min(len(base), 3))
         attach = rng.sample(base, size)
         edges += [(u, v) for u in attach]
         cliques.append(sorted(attach + [v]))

@@ -58,7 +58,6 @@ class ReductionOutput:
     k: int
     labels: tuple[str, ...]
     claims: tuple[str, ...]
-    variant: str
 
     def __post_init__(self):
         if len(self.labels) != self.graph.n:
@@ -116,7 +115,7 @@ def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
     edges += itertools.combinations(range(m), 2)
     edges += [(paths[i][0], j) for j, i in _misses(inst)]
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("chordal",), "chordal")
+    return ReductionOutput(g, k, tuple(labels), ("chordal",))
 
 
 def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
@@ -138,9 +137,7 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
     labels += [f"y_{{{i},{j}}}" for i, j in pairs]
     edges += itertools.combinations([*range(m), *range(y_base, len(labels))], 2)
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(
-        g, k, tuple(labels), ("chordal", "half_hyperbolic"), "hyperbolic"
-    )
+    return ReductionOutput(g, k, tuple(labels), ("chordal", "half_hyperbolic"))
 
 
 def _hit_by_two(inst: HittingSetInstance) -> bool:
@@ -184,7 +181,7 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     edges += [(len(labels), j) for j in range(m)]  # the apex C
     labels.append("C")
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("bipartite",), "bipartite")
+    return ReductionOutput(g, k, tuple(labels), ("bipartite",))
 
 
 def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
@@ -215,7 +212,7 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
         edges += itertools.combinations(group, 2)
     labels += [f"w_{{{j},{i}}}" for j, i in w_pairs]
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("claw_free",), "clawfree")
+    return ReductionOutput(g, k, tuple(labels), ("claw_free",))
 
 
 def havel_hakimi_regular(n: int, d: int) -> Graph:
@@ -291,9 +288,7 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
         edges += [(s, t + j * d + p) for j, s in enumerate(layers[-1]) for p in range(d)]
     edges += [(a * size, b * size) for a, b in g.complement().edges()]
     out = Graph.from_edges(n * size, edges)
-    return ReductionOutput(
-        out, k, tuple(labels), (f"regular({2 * d})",), "regular"
-    )
+    return ReductionOutput(out, k, tuple(labels), (f"regular({2 * d})",))
 
 
 def regular_forward_witness(
@@ -330,4 +325,4 @@ def reduce_tds_conv(g: Graph, k: int) -> ReductionOutput:
     paths, edges, labels = _layout(0, n, k - 1)
     edges += [(paths[a][0], paths[b][0]) for a, b in g.complement().edges()]
     out = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(out, k, tuple(labels), ("conv_promise",), "conv")
+    return ReductionOutput(out, k, tuple(labels), ("conv_promise",))

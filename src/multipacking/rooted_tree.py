@@ -84,18 +84,11 @@ class RootedTree:
     def vertices(self) -> list[int]:
         return members(self.alive)
 
-    # {vertex: value} over the live vertices; the surgery reads ``arrays``.
     @property
     def parent(self) -> dict[int, Optional[int]]:
+        """{vertex: parent} over the live vertices, the root mapped to None.
+        A view for callers; the surgery and the solver read ``arrays``."""
         return {v: self.arrays.parent[v] for v in self.vertices()}
-
-    @property
-    def children(self) -> dict[int, tuple[int, ...]]:
-        return {v: tuple(members(self.arrays.kids[v] & self.alive)) for v in self.vertices()}
-
-    @property
-    def depth(self) -> dict[int, int]:
-        return {v: self.arrays.depth[v] for v in self.vertices()}
 
     def _check(self, v: int) -> None:
         if v < 0 or not self.alive >> v & 1:

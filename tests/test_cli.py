@@ -40,25 +40,19 @@ def test_solve_json_all_algos(p4_file, capsys):
 
 
 def test_solve_missing_file(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["solve", "/nonexistent.graph"])
-    assert e.value.code == 3
+    assert main(["solve", "/nonexistent.graph"]) == 3
 
 
 def test_solve_malformed(tmp_path, capsys):
     f = tmp_path / "bad.graph"
     f.write_text("2 1\n0 5\n")
-    with pytest.raises(SystemExit) as e:
-        main(["solve", str(f)])
-    assert e.value.code == 3
+    assert main(["solve", str(f)]) == 3
 
 
 def test_solve_rejects_oversized_header(tmp_path, capsys):
     f = tmp_path / "huge.graph"
     f.write_text(f"{MAX_VERTICES + 1} 0\n")
-    with pytest.raises(SystemExit) as e:
-        main(["solve", str(f)])
-    assert e.value.code == 3
+    assert main(["solve", str(f)]) == 3
     assert "exceed the cap" in capsys.readouterr().err
 
 
@@ -84,9 +78,7 @@ def test_repeated_members_exit_3(tmp_path, capsys):
     hs.write_text("3 2 2\n2 0 0\n1 2\n")
     for argv in (["verify", str(p3), str(repeated)],
                  ["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "x")]):
-        with pytest.raises(SystemExit) as e:
-            main(argv)
-        assert e.value.code == 3
+        assert main(argv) == 3
         assert "repeated" in capsys.readouterr().err
     assert not (tmp_path / "x.graph").exists()
 
@@ -104,6 +96,16 @@ def test_reduce_hs_writes_files(tmp_path, capsys):
     assert (tmp_path / "out.claims").read_text() == "chordal\n"
 
 
+def test_reduce_into_a_missing_directory_exits_3(tmp_path, capsys):
+    hs = tmp_path / "inst.hs"
+    hs.write_text("3 2 2\n2 0 1\n1 2\n")
+    code = main(["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "missing" / "x")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert [f.name for f in tmp_path.iterdir()] == ["inst.hs"]  # no file written
+
+
 def test_reduce_hs_invalid_k(tmp_path, capsys):
     hs = tmp_path / "inst.hs"
     hs.write_text("3 2 2\n2 0 1\n1 2\n")
@@ -114,9 +116,7 @@ def test_reduce_hs_invalid_k(tmp_path, capsys):
 def test_reduce_hs_rejects_oversized_header(tmp_path, capsys):
     hs = tmp_path / "huge.hs"
     hs.write_text("50001 0 2\n")  # m + n*k = 100002 > MAX_VERTICES
-    with pytest.raises(SystemExit) as e:
-        main(["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "x")])
-    assert e.value.code == 3
+    assert main(["reduce", "hs", str(hs), "--variant", "chordal", "--out", str(tmp_path / "x")]) == 3
     assert "exceeds the cap" in capsys.readouterr().err
     assert not (tmp_path / "x.graph").exists()
 
