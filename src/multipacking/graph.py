@@ -200,11 +200,13 @@ def biconnected_blocks(g: Graph) -> list[list[int]]:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph on ``vertices`` with dense relabeling.
+    """Induced subgraph on ``vertices`` with dense relabeling (g itself on all of g).
 
     Returns (subgraph, old_ids) where old_ids[new] is the original id.
     """
     old = sorted(vertices)
+    if len(old) == g.n and old == list(range(g.n)):
+        return g, old
     pos = {v: i for i, v in enumerate(old)}
     edges = [
         (pos[u], pos[v])

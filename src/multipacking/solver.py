@@ -16,10 +16,11 @@ two passes over the distinct masks: a plan pass (``_plan``) calls the rule
 once per mask, records its step and its number of uses, and counts the full
 unpruned family size without materialising it (``family_count`` runs this
 pass alone); a build pass builds each pruned list once, shares it with every
-parent and frees it after its last use.  Of the survivors, only a set that
-would beat the best so far (larger, or earlier in the tie-break) is checked
-against ball bitmasks of G read once per component from ``graph.ball_rows``
-(``ball_masks``, ``fits_balls``).  The oracle reads the same rows, but its
+parent and frees it after its last use.  The witness pick is one pass over
+the survivors that skips sets above rad and sets that cannot beat the best so
+far, and tests the rest at radii 2..k-1 only, against a per-size list of
+maximal ball bitmasks (``size_balls``) read once per component from
+``graph.ball_rows`` (``ball_masks``).  The oracle reads the same rows, but its
 DFS shares no code with ``fits_balls``, so comparing the solvers with the
 oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
@@ -265,6 +266,12 @@ def ball_masks(g: Graph) -> BallMasks:
     return BallMasks(rad, near, tuple(maximal))
 
 
+def size_balls(balls: BallMasks, k: int) -> list[tuple[int, int]]:
+    """The (r, ball) pairs that decide a k-set with no two members within
+    distance 2: every maximal ball N_r[v] with 2 <= r < k.  Needs k <= rad."""
+    return [(r, b) for r in range(2, k) for b in balls.maximal[r]]
+
+
 def fits_balls(balls: BallMasks, mask: int) -> bool:
     """True iff the vertex set ``mask`` is a multipacking of the graph ``balls`` describes.
 
@@ -272,7 +279,7 @@ def fits_balls(balls: BallMasks, mask: int) -> bool:
     the center, whose radius-rad ball is the whole graph; radii r >= |M| are
     vacuous.  r = 1 holds iff no two members are within distance 2.  For
     2 <= r < |M| a ball inside another ball of the same radius holds no more
-    members, so only the maximal balls are counted.
+    members, so only the maximal balls are counted (``size_balls``).
     """
     k = mask.bit_count()
     if k <= 1:
@@ -286,12 +293,7 @@ def fits_balls(balls: BallMasks, mask: int) -> bool:
         if near[low.bit_length() - 1] & mask:
             return False
         rest ^= low
-    maximal = balls.maximal
-    for r in range(2, k):
-        for b in maximal[r]:
-            if (b & mask).bit_count() > r:
-                return False
-    return True
+    return all((b & mask).bit_count() <= r for r, b in size_balls(balls, k))
 
 
 _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
@@ -300,15 +302,30 @@ _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
 def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]:
     balls = ball_masks(g)
     packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
+    # The kernel dropped every set with two members within distance 2, so a
+    # set fits iff k <= rad (one member always fits) and its size_balls hold.
+    # A for loop tests them: all() over a generator cost a quarter of the pick.
+    top = max(balls.rad, 1)
+    tests: dict[int, list[tuple[int, int]]] = {}
     size = best = 0
     for m in packings:
         k = m.bit_count()
         if k < size:
             continue
-        # Of two sets of one size the earlier sorted tuple holds the lowest
-        # differing vertex; a later set of the current size cannot win.
-        d = m ^ best
-        if (k > size or m & d & -d) and fits_balls(balls, m):
+        if k == size:
+            # Of two sets of one size the earlier sorted tuple holds the
+            # lowest differing vertex; a later set cannot win.
+            d = m ^ best
+            if not m & d & -d:
+                continue
+        elif k > top:
+            continue
+        if k not in tests:
+            tests[k] = size_balls(balls, k)
+        for r, b in tests[k]:
+            if (b & m).bit_count() > r:
+                break
+        else:
             size, best = k, m
     return size, tuple(members(best)), family_size
 

@@ -191,6 +191,23 @@ def test_components_and_induced():
     assert old == [3, 4] and sub.adj == ((1,), (0,))
 
 
+def test_induced_subgraph_on_all_vertices_is_the_graph():
+    rng = random.Random(89)
+    for n in range(0, 12):
+        g = random_connected_graph(n, rng) if n else Graph.from_edges(0, [])
+        for order in (range(n), reversed(range(n))):
+            sub, old = induced_subgraph(g, order)
+            assert sub is g and old == list(range(n))
+    # A disconnected graph: each component is relabelled in id order.
+    g = Graph.from_edges(7, [(0, 4), (4, 6), (1, 3), (2, 5), (5, 3)])
+    for comp in connected_components(g):
+        sub, old = induced_subgraph(g, comp)
+        assert old == comp
+        assert sub.edges() == sorted(
+            (old.index(u), old.index(v)) for u, v in g.edges() if u in comp and v in comp
+        )
+
+
 def block_sets(g: Graph) -> set[frozenset[int]]:
     return {frozenset(b) for b in biconnected_blocks(g)}
 

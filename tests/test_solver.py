@@ -5,7 +5,14 @@ import networkx as nx
 import pytest
 
 from conftest import classify_subtree, cycle, path, star, tree_catalog
-from multipacking.graph import Graph, all_pairs, is_connected
+from multipacking.graph import (
+    Graph,
+    all_pairs,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    members,
+)
 from multipacking.oracle import (
     brute_force_mp,
     enumerate_multipackings,
@@ -377,3 +384,54 @@ def test_count_pass_keeps_158_bound_beyond_brute_force():
         for _ in range(10):
             count = family_count(bfs_tree(random_tree(n, rng), 0), split_158)
             assert count ** (1.0 / n) <= 1.58, (n, count)
+
+
+def _scan_solve(g: Graph, split) -> tuple[int, tuple[int, ...], int]:
+    """``solve_detailed`` with the pick as a plain scan: every packing is read,
+    and ``fits_balls`` runs on each set that would become the new best."""
+    total, witness, family_total = 0, [], 0
+    for comp in connected_components(g):
+        sub, old_ids = induced_subgraph(g, comp)
+        balls = ball_masks(sub)
+        packings, family_size = family_packings(bfs_tree(sub, 0), split, balls.near)
+        size = best = 0
+        for m in packings:
+            k = m.bit_count()
+            if k < size:
+                continue
+            d = m ^ best
+            if (k > size or m & d & -d) and fits_balls(balls, m):
+                size, best = k, m
+        total += size
+        witness.extend(old_ids[v] for v in members(best))
+        family_total += family_size
+    return total, tuple(sorted(witness)), family_total
+
+
+def test_pick_equals_the_scan_with_fits_balls():
+    rng = random.Random(83)
+    graphs = [random_tree(rng.randint(16, 24), rng) for _ in range(12)]
+    graphs += [random_connected_graph(rng.randint(2, 20), rng, rng.choice((0.3, 0.05, 0.1))) for _ in range(40)]
+    # No kernel set of a path or a cycle reaches rad.
+    graphs += [path(n) for n in range(1, 31)] + [cycle(n) for n in range(3, 31)]
+    # Graphs whose largest multipacking is smaller than rad.
+    low = [cycle(7), path(9), Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])]
+    for g in low:
+        assert solve_detailed(g, "a158")[0] < ball_masks(g).rad
+    for g in graphs + low:
+        for algo, split in (("a158", split_158), ("a162", split_162)):
+            assert solve_detailed(g, algo) == _scan_solve(g, split), (algo, g.adj)
+
+
+def test_worst_case_tree_at_n18():
+    """The n = 18 tree with the largest split_158 family a hill climb found."""
+    edges = [(0, 1), (0, 2), (0, 14), (1, 3), (1, 12), (1, 15), (2, 5), (2, 11), (3, 4),
+             (3, 6), (4, 7), (4, 8), (5, 9), (8, 10), (12, 13), (12, 17), (13, 16)]
+    g = Graph.from_edges(18, edges)
+    t = bfs_tree(g, 0)
+    assert family_count(t, split_158) == len(candidate_family(t)) == 3888
+    assert len(family_packings(t, split_158, [0] * 18)[0]) == 3888
+    expected = brute_force_mp(g)
+    assert expected == (4, (0, 4, 9, 16))
+    assert solve_detailed(g, "a158") == expected + (3888,)
+    assert solve_detailed(g, "a162") == expected + (3173,)
