@@ -1,9 +1,9 @@
 """Rooted trees whose surgery is one mask operation.
 
 ``bfs_tree`` and ``RootedTree.from_parents`` compute a tree's arrays once,
-indexed by vertex id: parent, child masks, depth, depth-layer masks and
-subtree masks.  A tree obtained by surgery shares those arrays and differs
-only in ``alive``, the int bitmask of the vertices still present, so
+indexed by vertex id: parent, child masks, depth-layer masks and subtree
+masks.  A tree obtained by surgery shares those arrays and differs only in
+``alive``, the int bitmask of the vertices still present, so
 ``remove_subtree`` and ``remove_leaf`` are O(1) mask operations, and the
 solver reads gadget shapes from child masks ANDed with ``alive``.  Vertex
 ids are preserved across removals.  The empty tree has height -1.
@@ -22,7 +22,6 @@ class _Arrays(NamedTuple):
     root: Optional[int]
     parent: list[Optional[int]]
     kids: list[int]  # child masks
-    depth: list[int]
     layers: list[int]  # layers[d]: the vertices at depth d
     sub: list[int]  # sub[u]: the vertices of the subtree rooted at u
 
@@ -39,7 +38,7 @@ class RootedTree:
 
     @staticmethod
     def empty() -> "RootedTree":
-        return RootedTree(_Arrays(None, [], [], [], [], []), 0, -1)
+        return RootedTree(_Arrays(None, [], [], [], []), 0, -1)
 
     @staticmethod
     def from_parents(root: int, parent_of: dict[int, int]) -> "RootedTree":
@@ -67,7 +66,7 @@ class RootedTree:
             layers[depth[u]] |= 1 << u
             if u != root:
                 sub[parent[u]] |= sub[u]
-        arrays = _Arrays(root, parent, kids, depth, layers, sub)
+        arrays = _Arrays(root, parent, kids, layers, sub)
         return RootedTree(arrays, sub[root], len(layers) - 1)
 
     @property

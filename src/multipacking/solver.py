@@ -18,11 +18,11 @@ unpruned family size without materialising it (``family_count`` runs this
 pass alone); a build pass builds each pruned list once, shares it with every
 parent and frees it after its last use.  The witness pick is one pass over
 the survivors that skips sets above rad and sets that cannot beat the best so
-far, and tests the rest at radii 2..k-1 only, against a per-size list of
-maximal ball bitmasks (``size_balls``) read once per component from
-``graph.ball_rows`` (``ball_masks``).  The oracle reads the same rows, but its
-DFS shares no code with ``fits_balls``, so comparing the solvers with the
-oracle compares two independent checkers.
+far, and calls ``fits_balls`` on the rest: the kernel already settled radius
+1, so it counts members only at radii 2..k-1, in the maximal ball bitmasks
+that ``ball_masks`` lists once per size k from ``graph.ball_rows``.  The
+oracle reads the same rows, but its DFS shares no code with ``fits_balls``,
+so comparing the solvers with the oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
 families as ``frozenset``s and are the reference the kernel is tested
 against.
@@ -240,13 +240,14 @@ class BallMasks(NamedTuple):
     """The balls of a connected graph that decide whether a set is a multipacking.
 
     Vertex sets are int bitmasks (bit v for vertex v).  ``near[u]`` is
-    N_2[u] without u; ``maximal[r]`` holds the inclusion-maximal balls N_r[v]
-    for 2 <= r < rad, and is empty for other r.
+    N_2[u] without u.  ``sized[k]``, for 0 <= k <= max(rad, 2), holds the
+    (r, ball) pairs with 2 <= r < k whose ball N_r[v] is inclusion-maximal
+    among the balls of radius r: the balls that decide a k-set.
     """
 
     rad: int
     near: tuple[int, ...]
-    maximal: tuple[tuple[int, ...], ...]
+    sized: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def ball_masks(g: Graph) -> BallMasks:
@@ -255,45 +256,31 @@ def ball_masks(g: Graph) -> BallMasks:
     rad = min(len(row) for row in rows) - 1
     # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
-    maximal: list[tuple[int, ...]] = [()] * max(rad, 2)
+    sized: list[tuple[tuple[int, int], ...]] = [()] * (max(rad, 2) + 1)
     for r in range(2, rad):
         # Largest first: a ball that holds b is kept or held by a kept ball.
         kept: list[int] = []
         for b in sorted({row[r] for row in rows}, key=int.bit_count, reverse=True):
             if not any(b & c == b for c in kept):
                 kept.append(b)
-        maximal[r] = tuple(kept)
-    return BallMasks(rad, near, tuple(maximal))
-
-
-def size_balls(balls: BallMasks, k: int) -> list[tuple[int, int]]:
-    """The (r, ball) pairs that decide a k-set with no two members within
-    distance 2: every maximal ball N_r[v] with 2 <= r < k.  Needs k <= rad."""
-    return [(r, b) for r in range(2, k) for b in balls.maximal[r]]
+        sized[r + 1] = sized[r] + tuple((r, b) for b in kept)
+    return BallMasks(rad, near, tuple(sized))
 
 
 def fits_balls(balls: BallMasks, mask: int) -> bool:
-    """True iff the vertex set ``mask`` is a multipacking of the graph ``balls`` describes.
+    """True iff ``mask`` is a multipacking of the graph ``balls`` describes,
+    for a set with at most max(rad, 1) members and no two within distance 2.
 
-    |N_r[v] ∩ M| <= r is checked as follows.  A set larger than rad fails at
-    the center, whose radius-rad ball is the whole graph; radii r >= |M| are
-    vacuous.  r = 1 holds iff no two members are within distance 2.  For
-    2 <= r < |M| a ball inside another ball of the same radius holds no more
-    members, so only the maximal balls are counted (``size_balls``).
+    Those are the sets the solve tests: the kernel settles r = 1, and a set
+    above rad fails at the center, whose radius-rad ball is the whole graph.
+    Radii r >= |M| are vacuous, and at 2 <= r < |M| a ball inside another
+    ball of the same radius holds no more members, so ``sized[|M|]`` decides.
     """
-    k = mask.bit_count()
-    if k <= 1:
-        return True
-    if k > balls.rad:
-        return False
-    near = balls.near
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if near[low.bit_length() - 1] & mask:
+    # A for loop: all() over a generator cost a quarter of the pick.
+    for r, b in balls.sized[mask.bit_count()]:
+        if (b & mask).bit_count() > r:
             return False
-        rest ^= low
-    return all((b & mask).bit_count() <= r for r, b in size_balls(balls, k))
+    return True
 
 
 _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
@@ -302,11 +289,9 @@ _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
 def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]:
     balls = ball_masks(g)
     packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
-    # The kernel dropped every set with two members within distance 2, so a
-    # set fits iff k <= rad (one member always fits) and its size_balls hold.
-    # A for loop tests them: all() over a generator cost a quarter of the pick.
+    # The kernel dropped every set with two members within distance 2, and
+    # a set above max(rad, 1) cannot fit, so fits_balls decides the rest.
     top = max(balls.rad, 1)
-    tests: dict[int, list[tuple[int, int]]] = {}
     size = best = 0
     for m in packings:
         k = m.bit_count()
@@ -320,12 +305,7 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
                 continue
         elif k > top:
             continue
-        if k not in tests:
-            tests[k] = size_balls(balls, k)
-        for r, b in tests[k]:
-            if (b & m).bit_count() > r:
-                break
-        else:
+        if fits_balls(balls, m):
             size, best = k, m
     return size, tuple(members(best)), family_size
 

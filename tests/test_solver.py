@@ -168,10 +168,18 @@ def _subsets(n: int):
 
 
 def _assert_mask_check_agrees(g: Graph, subsets) -> None:
+    """The solve's split of the check: the size bound, the kernel's radius-1
+    prune, then ``fits_balls``; against the definitional check."""
     D = all_pairs(g)
     balls = ball_masks(g)
     for m in subsets:
-        assert fits_balls(balls, sum(1 << v for v in m)) == is_multipacking(g, D, m), m
+        mask = sum(1 << v for v in m)
+        fits = len(m) <= 1 or (
+            len(m) <= balls.rad
+            and not any(balls.near[u] & mask for u in m)
+            and fits_balls(balls, mask)
+        )
+        assert fits == is_multipacking(g, D, m), m
 
 
 def test_mask_check_matches_oracle_on_all_subsets_of_trees(trees_up_to_9):
@@ -214,11 +222,12 @@ def test_maximal_balls_match_the_quadratic_filter():
     graphs = [g for g in graphs if is_connected(g)] + [random_tree(rng.randint(2, 40), rng) for _ in range(150)]
     for g in graphs:
         D = all_pairs(g)
-        maximal = ball_masks(g).maximal
-        for r in range(2, len(maximal)):
+        sized = ball_masks(g).sized
+        for r in range(2, len(sized) - 1):
+            maximal = [b for s, b in sized[r + 1] if s == r]
             balls = {sum(1 << u for u, d in enumerate(row) if d <= r) for row in D}
             expected = {b for b in balls if not any(b != c and b & c == b for c in balls)}
-            assert len(maximal[r]) == len(expected) and set(maximal[r]) == expected, g.adj
+            assert len(maximal) == len(expected) and set(maximal) == expected, g.adj
 
 
 def test_solve_detailed_on_small_components():
@@ -388,19 +397,20 @@ def test_count_pass_keeps_158_bound_beyond_brute_force():
 
 def _scan_solve(g: Graph, split) -> tuple[int, tuple[int, ...], int]:
     """``solve_detailed`` with the pick as a plain scan: every packing is read,
-    and ``fits_balls`` runs on each set that would become the new best."""
+    and the definitional ``is_multipacking`` runs on each set that would
+    become the new best, so no ball list of ``ball_masks`` is trusted."""
     total, witness, family_total = 0, [], 0
     for comp in connected_components(g):
         sub, old_ids = induced_subgraph(g, comp)
-        balls = ball_masks(sub)
-        packings, family_size = family_packings(bfs_tree(sub, 0), split, balls.near)
+        D = all_pairs(sub)
+        packings, family_size = family_packings(bfs_tree(sub, 0), split, ball_masks(sub).near)
         size = best = 0
         for m in packings:
             k = m.bit_count()
             if k < size:
                 continue
             d = m ^ best
-            if (k > size or m & d & -d) and fits_balls(balls, m):
+            if (k > size or m & d & -d) and is_multipacking(sub, D, members(m)):
                 size, best = k, m
         total += size
         witness.extend(old_ids[v] for v in members(best))
@@ -408,7 +418,7 @@ def _scan_solve(g: Graph, split) -> tuple[int, tuple[int, ...], int]:
     return total, tuple(sorted(witness)), family_total
 
 
-def test_pick_equals_the_scan_with_fits_balls():
+def test_pick_equals_the_definitional_scan():
     rng = random.Random(83)
     graphs = [random_tree(rng.randint(16, 24), rng) for _ in range(12)]
     graphs += [random_connected_graph(rng.randint(2, 20), rng, rng.choice((0.3, 0.05, 0.1))) for _ in range(40)]
@@ -435,3 +445,17 @@ def test_worst_case_tree_at_n18():
     assert expected == (4, (0, 4, 9, 16))
     assert solve_detailed(g, "a158") == expected + (3888,)
     assert solve_detailed(g, "a162") == expected + (3173,)
+
+
+def test_worst_families_of_all_trees_up_to_12():
+    """The largest unpruned family over every tree with n <= 12 vertices and
+    every root: split_158 reaches 2^a 3^b, split_162 the Fibonacci F(n + 2)."""
+    worst_158 = [2, 3, 4, 6, 12, 18, 27, 36, 72, 108, 162, 243]
+    worst_162 = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
+    for n in range(1, 13):
+        trees = [Graph.from_edges(1, [])] if n == 1 else [
+            Graph.from_edges(n, list(h.edges())) for h in nx.nonisomorphic_trees(n)
+        ]
+        for split, expected in ((split_158, worst_158[n - 1]), (split_162, worst_162[n - 1])):
+            worst = max(family_count(bfs_tree(g, r), split) for g in trees for r in range(n))
+            assert worst == expected, (split.__name__, n, worst)
