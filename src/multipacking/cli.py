@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage
-error (argparse default), 3 malformed input (``input error: ...``) or a
-file that cannot be read or written (``error: ...``).
+error (argparse default), 3 malformed input or a candidate family above
+``solver.MAX_FAMILY`` (``input error: ...``) or a file that cannot be read
+or written (``error: ...``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import checkers, formats, pathcount, randgen, reductions, solver
-from .graph import all_pairs
+from .graph import bfs_distances
 from .oracle import DEFAULT_MP_CAP, brute_force_mp, duality_report, enumerate_multipackings, is_multipacking
 from .rooted_tree import bfs_tree
 
@@ -61,7 +62,10 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     g = formats.parse_graph(Path(args.graph).read_text())
     members = formats.parse_vertex_set(Path(args.set_file).read_text())
-    ok = is_multipacking(g, all_pairs(g), members)
+    # is_multipacking reads only the members' rows; an out-of-range member
+    # gets no row, so is_multipacking still names it.
+    rows = {u: bfs_distances(g, u) for u in members if 0 <= u < g.n}
+    ok = is_multipacking(g, [rows.get(u, ()) for u in range(g.n)], members)
     print("multipacking" if ok else "not a multipacking")
     return 0 if ok else 1
 

@@ -53,7 +53,8 @@ def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool
     """True iff |N_r[v] ∩ M| <= r for every vertex v and every r >= 1.
 
     Radii r >= |M| are vacuous (the intersection can never exceed |M|),
-    so only r = 1..|M|-1 are checked.
+    so only r = 1..|M|-1 are checked.  Only the members' rows of D are
+    read, as d(v, u) = D[u][v], so a caller may leave the other rows empty.
     """
     M = sorted(set(members))
     for v in M:
@@ -62,9 +63,9 @@ def is_multipacking(g: Graph, D: DistanceMatrix, members: Sequence[int]) -> bool
     if len(M) <= 1:
         return True
     rmax = len(M) - 1
+    rows = [D[u] for u in M]
     for v in range(g.n):
-        row = D[v]
-        ds = sorted(row[u] for u in M)
+        ds = sorted(row[v] for row in rows)
         # ds[r] <= r means at least r+1 members sit inside N_r[v]
         for r in range(1, rmax + 1):
             if ds[r] <= r:

@@ -1,13 +1,13 @@
 """Certified instance generators for the six hardness reductions.
 
 Each generator emits the constructed graph together with per-vertex
-provenance labels, the target multipacking size, and the structural claims
-the construction is supposed to satisfy (checkable with the class
-checkers).  Five variants share one vertex layout (`_layout`): sets S_j
-first, then one path u_i^1..u_i^L per element, then the variant's own
-block.  The Hitting-Set heads u_i^1 link to the sets that miss i
-(`_misses`); CONV has no sets and joins its heads along the complement of
-the input.  The regular variant lays out one gadget per input vertex.
+provenance labels and the structural claims the construction is supposed
+to satisfy (checkable with the class checkers).  Five variants share one
+vertex layout (`_layout`): sets S_j first, then one path u_i^1..u_i^L per
+element, then the variant's own block.  The Hitting-Set heads u_i^1 link
+to the sets that miss i (`_misses`); CONV has no sets and joins its heads
+along the complement of the input.  The regular variant lays out one
+gadget per input vertex.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class ReductionOutput:
     """Constructed graph with provenance labels and claimed properties."""
 
     graph: Graph
-    k: int
     labels: tuple[str, ...]
     claims: tuple[str, ...]
 
@@ -115,7 +114,7 @@ def reduce_hs_chordal(inst: HittingSetInstance) -> ReductionOutput:
     edges += itertools.combinations(range(m), 2)
     edges += [(paths[i][0], j) for j, i in _misses(inst)]
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("chordal",))
+    return ReductionOutput(g, tuple(labels), ("chordal",))
 
 
 def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
@@ -137,7 +136,7 @@ def reduce_hs_half_hyperbolic(inst: HittingSetInstance) -> ReductionOutput:
     labels += [f"y_{{{i},{j}}}" for i, j in pairs]
     edges += itertools.combinations([*range(m), *range(y_base, len(labels))], 2)
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("chordal", "half_hyperbolic"))
+    return ReductionOutput(g, tuple(labels), ("chordal", "half_hyperbolic"))
 
 
 def _hit_by_two(inst: HittingSetInstance) -> bool:
@@ -181,7 +180,7 @@ def reduce_hs_bipartite(inst: HittingSetInstance) -> ReductionOutput:
     edges += [(len(labels), j) for j in range(m)]  # the apex C
     labels.append("C")
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("bipartite",))
+    return ReductionOutput(g, tuple(labels), ("bipartite",))
 
 
 def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
@@ -212,7 +211,7 @@ def reduce_hs_clawfree(inst: HittingSetInstance) -> ReductionOutput:
         edges += itertools.combinations(group, 2)
     labels += [f"w_{{{j},{i}}}" for j, i in w_pairs]
     g = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(g, k, tuple(labels), ("claw_free",))
+    return ReductionOutput(g, tuple(labels), ("claw_free",))
 
 
 def havel_hakimi_regular(n: int, d: int) -> Graph:
@@ -288,7 +287,7 @@ def reduce_tds_regular(g: Graph, k: int) -> ReductionOutput:
         edges += [(s, t + j * d + p) for j, s in enumerate(layers[-1]) for p in range(d)]
     edges += [(a * size, b * size) for a, b in g.complement().edges()]
     out = Graph.from_edges(n * size, edges)
-    return ReductionOutput(out, k, tuple(labels), (f"regular({2 * d})",))
+    return ReductionOutput(out, tuple(labels), (f"regular({2 * d})",))
 
 
 def regular_forward_witness(
@@ -325,4 +324,4 @@ def reduce_tds_conv(g: Graph, k: int) -> ReductionOutput:
     paths, edges, labels = _layout(0, n, k - 1)
     edges += [(paths[a][0], paths[b][0]) for a, b in g.complement().edges()]
     out = Graph.from_edges(len(labels), edges)
-    return ReductionOutput(out, k, tuple(labels), ("conv_promise",))
+    return ReductionOutput(out, tuple(labels), ("conv_promise",))

@@ -37,6 +37,12 @@ from .rooted_tree import RootedTree, bfs_tree, deepest_vertices
 
 Family = set[frozenset[int]]
 
+# The largest unpruned family ``family_packings`` builds: it admits every
+# a158 and a162 solve of random trees with n <= 40 (families to 9.1e7, at
+# most 6 s and 400 MiB each on a 2-core host) and refuses those with n = 50
+# (from 6.4e8), whose build would exhaust memory.
+MAX_FAMILY = 10**8
+
 
 def enumerate_h1(vertex_ids: Iterable[int]) -> Family:
     """All multipackings of a height<=1 star: the empty set plus singletons."""
@@ -205,9 +211,13 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
     (``_plan``) first finds every distinct state, its step and its number of
     uses, calling ``split`` once per state.  The build pass then walks the
     plan, builds each state's pruned list once, hands it to every parent,
-    and drops it from its table when the last use has taken it.
+    and drops it from its table when the last use has taken it.  A family
+    above ``MAX_FAMILY`` raises ``ValueError`` after the plan pass, before
+    any list is built.
     """
     count, steps, uses = _plan(t, split)
+    if count > MAX_FAMILY:
+        raise ValueError(f"candidate family of {count} sets exceeds the budget of {MAX_FAMILY}")
     lists: dict[int, list[int]] = {}
 
     def build(key: int) -> list[int]:

@@ -1,5 +1,8 @@
 import json
+import random
+import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +11,8 @@ from multipacking import cli
 from multipacking.cli import build_parser, main
 from multipacking.formats import MAX_VERTICES, serialize_graph, serialize_vertex_set
 from multipacking.graph import Graph
+from multipacking.randgen import random_tree
+from multipacking.solver import MAX_FAMILY
 
 
 @pytest.fixture
@@ -54,6 +59,22 @@ def test_solve_rejects_oversized_header(tmp_path, capsys):
     f.write_text(f"{MAX_VERTICES + 1} 0\n")
     assert main(["solve", str(f)]) == 3
     assert "exceed the cap" in capsys.readouterr().err
+
+
+def test_solve_refuses_a_family_above_the_budget(tmp_path, capsys):
+    """The first n = 50 tree after four at n = 30 and four at n = 40 from
+    random.Random(5): building its family would exhaust memory."""
+    rng = random.Random(5)
+    for n in (30,) * 4 + (40,) * 4:
+        random_tree(n, rng)
+    f = tmp_path / "t50.graph"
+    f.write_text(serialize_graph(random_tree(50, rng)))
+    for algo, count in (("a158", 1350925056), ("a162", 8024106424)):
+        start = time.perf_counter()
+        assert main(["solve", str(f), "--algo", algo]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == f"input error: candidate family of {count} sets exceeds the budget of {MAX_FAMILY}\n"
 
 
 def test_verify(p4_file, tmp_path, capsys):
@@ -168,6 +189,36 @@ def test_check(p4_file, tmp_path, capsys):
     assert code == 0 and "delta = 1" in out
     code = main(["check", p4_file, "--props", "nonsense"])
     assert code == 2
+
+
+# The `check` property that certifies each claim a reduction writes, as
+# README lists them; `conv_promise` is an unchecked promise about the input.
+CLAIM_PROPS = {"chordal": "chordal", "bipartite": "bipartite", "claw_free": "clawfree",
+               "half_hyperbolic": "hyperbolicity"}
+
+
+def test_each_claim_passes_its_check(tmp_path, p4_file, capsys):
+    hs = tmp_path / "inst.hs"
+    hs.write_text("4 3 3\n2 0 1\n2 1 2\n2 2 3\n")
+    k33 = tmp_path / "k33.graph"
+    k33.write_text(serialize_graph(Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])))
+    reductions = [["hs", str(hs), "--variant", v] for v in cli.HS_VARIANTS]
+    reductions += [["tds", str(k33), "--variant", "regular", "-k", "4"],
+                   ["tds", p4_file, "--variant", "conv", "-k", "3"]]
+    for i, argv in enumerate(reductions):
+        prefix = tmp_path / f"out{i}"
+        assert run(capsys, "reduce", *argv, "--out", str(prefix))[0] == 0
+        for claim in (tmp_path / f"out{i}.claims").read_text().split():
+            if claim == "conv_promise":
+                continue
+            regular = re.fullmatch(r"regular\((\d+)\)", claim)
+            prop = "regular" if regular else CLAIM_PROPS[claim]
+            code, out = run(capsys, "check", f"{prefix}.graph", "--props", prop)
+            assert code == 0, (claim, out)
+            if regular:
+                assert out.split() == ["regular", "true", "degree", regular[1]]
+            if prop == "hyperbolicity":
+                assert Fraction(out.split()[-1]) <= Fraction(1, 2)
 
 
 def c5_chain(links: int) -> Graph:

@@ -57,6 +57,19 @@ def test_is_multipacking_duplicates_collapse():
     assert is_multipacking(p4, D, [3, 0, 3])
 
 
+def test_is_multipacking_reads_only_the_members_rows():
+    rng = random.Random(31)
+    graphs = [random_connected_graph(rng.randint(1, 8), rng, rng.choice((0.05, 0.3))) for _ in range(30)]
+    # Disconnected graphs, whose rows hold the unreachable sentinel n.
+    graphs += [Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)]), Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])]
+    for g in graphs:
+        D = all_pairs(g)
+        for k in range(g.n + 1):
+            for M in itertools.combinations(range(g.n), k):
+                rows = [D[u] if u in M else () for u in range(g.n)]
+                assert is_multipacking(g, rows, M) == is_multipacking(g, D, M), (g.adj, M)
+
+
 def test_enumerate_multipackings_p3():
     p3 = path(3)
     assert enumerate_multipackings(p3) == [(), (0,), (1,), (2,)]

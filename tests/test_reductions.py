@@ -63,9 +63,9 @@ def test_instance_validation():
 
 def test_output_validation():
     with pytest.raises(ValueError):
-        ReductionOutput(path(2), 2, ("a",), ())
+        ReductionOutput(path(2), ("a",), ())
     with pytest.raises(ValueError):
-        ReductionOutput(path(2), 2, ("a", "a"), ())
+        ReductionOutput(path(2), ("a", "a"), ())
 
 
 def test_chordal_variant_layout():

@@ -433,18 +433,38 @@ def test_pick_equals_the_definitional_scan():
             assert solve_detailed(g, algo) == _scan_solve(g, split), (algo, g.adj)
 
 
-def test_worst_case_tree_at_n18():
-    """The n = 18 tree with the largest split_158 family a hill climb found."""
-    edges = [(0, 1), (0, 2), (0, 14), (1, 3), (1, 12), (1, 15), (2, 5), (2, 11), (3, 4),
-             (3, 6), (4, 7), (4, 8), (5, 9), (8, 10), (12, 13), (12, 17), (13, 16)]
-    g = Graph.from_edges(18, edges)
+@pytest.mark.parametrize("n, edges, mp, family_158, family_162", [
+    pytest.param(17, [(0, 1), (0, 8), (1, 2), (1, 6), (1, 7), (2, 3), (2, 14), (3, 4), (3, 5),
+                      (4, 9), (4, 15), (6, 13), (8, 10), (8, 12), (9, 16), (10, 11)],
+                 (5, (0, 5, 11, 13, 16)), 2592, 2318, id="n17"),
+    pytest.param(18, [(0, 1), (0, 2), (0, 14), (1, 3), (1, 12), (1, 15), (2, 5), (2, 11), (3, 4),
+                      (3, 6), (4, 7), (4, 8), (5, 9), (8, 10), (12, 13), (12, 17), (13, 16)],
+                 (4, (0, 4, 9, 16)), 3888, 3173, id="n18"),
+])
+def test_worst_case_tree_at_n18(n, edges, mp, family_158, family_162):
+    """The n = 17 and n = 18 trees with the largest split_158 families a hill
+    climb found; at n = 17 the growth, 2592^(1/17) = 1.5878, is above 1.58."""
+    g = Graph.from_edges(n, edges)
     t = bfs_tree(g, 0)
-    assert family_count(t, split_158) == len(candidate_family(t)) == 3888
-    assert len(family_packings(t, split_158, [0] * 18)[0]) == 3888
+    assert family_count(t, split_158) == len(candidate_family(t)) == family_158
+    assert len(family_packings(t, split_158, [0] * n)[0]) == family_158
     expected = brute_force_mp(g)
-    assert expected == (4, (0, 4, 9, 16))
-    assert solve_detailed(g, "a158") == expected + (3888,)
-    assert solve_detailed(g, "a162") == expected + (3173,)
+    assert expected == mp
+    assert solve_detailed(g, "a158") == expected + (family_158,)
+    assert solve_detailed(g, "a162") == expected + (family_162,)
+
+
+def test_family_budget_admits_its_bound_and_refuses_above_it(monkeypatch):
+    import multipacking.solver as solver_module
+
+    g = path(12)
+    t = bfs_tree(g, 0)
+    count = family_count(t, split_158)
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", count)
+    assert family_packings(t, split_158, [0] * 12)[1] == count
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", count - 1)
+    with pytest.raises(ValueError, match=f"family of {count} sets exceeds the budget of {count - 1}"):
+        solve_detailed(g, "a158")
 
 
 def test_worst_families_of_all_trees_up_to_12():
