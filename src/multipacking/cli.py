@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage
-error (argparse default), 3 malformed input or a candidate family above
-``solver.MAX_FAMILY`` (``input error: ...``) or a file that cannot be read
-or written (``error: ...``).
+error (argparse default), 3 malformed input or a pruned candidate list
+above ``solver.MAX_FAMILY`` (``input error: ...``) or a file that cannot be
+read or written (``error: ...``).
 """
 
 from __future__ import annotations

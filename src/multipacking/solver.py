@@ -37,11 +37,14 @@ from .rooted_tree import RootedTree, bfs_tree, deepest_vertices
 
 Family = set[frozenset[int]]
 
-# The largest unpruned family ``family_packings`` builds: it admits every
-# a158 and a162 solve of random trees with n <= 40 (families to 9.1e7, at
-# most 6 s and 400 MiB each on a 2-core host) and refuses those with n = 50
-# (from 6.4e8), whose build would exhaust memory.
-MAX_FAMILY = 10**8
+# The longest pruned list ``family_packings`` builds.  A solve's peak memory
+# is about 50 bytes per set of its longest list, and the unpruned count can
+# be larger by orders of magnitude.  Measured: it admits a158 and a162 on P_n
+# for n <= 41, on C_n for n <= 42 and on 16 random trees with n = 40 (lists
+# to 8.0e6 sets, 394 MiB), and refuses P_42 and nine random trees with
+# 45 <= n <= 120.  It bounds each list, not their sum, so a refusal can hold
+# more.
+MAX_FAMILY = 10**7
 
 
 def enumerate_h1(vertex_ids: Iterable[int]) -> Family:
@@ -211,13 +214,11 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
     (``_plan``) first finds every distinct state, its step and its number of
     uses, calling ``split`` once per state.  The build pass then walks the
     plan, builds each state's pruned list once, hands it to every parent,
-    and drops it from its table when the last use has taken it.  A family
-    above ``MAX_FAMILY`` raises ``ValueError`` after the plan pass, before
-    any list is built.
+    and drops it from its table when the last use has taken it.  A pruned
+    list longer than ``MAX_FAMILY`` raises ``ValueError`` as soon as it is
+    built.
     """
     count, steps, uses = _plan(t, split)
-    if count > MAX_FAMILY:
-        raise ValueError(f"candidate family of {count} sets exceeds the budget of {MAX_FAMILY}")
     lists: dict[int, list[int]] = {}
 
     def build(key: int) -> list[int]:
@@ -239,6 +240,9 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
             # lets ``rest``'s list go before the other branch is built.
             out = [m | bit for m in build(rest) if not m & block]
             out += build(other)
+        if len(out) > MAX_FAMILY:
+            raise ValueError(f"candidate family of {count} sets: a pruned list of {len(out)} "
+                             f"exceeds the budget of {MAX_FAMILY}")
         if uses[key]:
             lists[key] = out
         return out

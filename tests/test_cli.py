@@ -3,16 +3,16 @@ import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import cycle, path
-from multipacking import cli
+from multipacking import cli, solver
 from multipacking.cli import build_parser, main
 from multipacking.formats import MAX_VERTICES, serialize_graph, serialize_vertex_set
 from multipacking.graph import Graph
 from multipacking.randgen import random_tree
-from multipacking.solver import MAX_FAMILY
 
 
 @pytest.fixture
@@ -61,20 +61,34 @@ def test_solve_rejects_oversized_header(tmp_path, capsys):
     assert "exceed the cap" in capsys.readouterr().err
 
 
-def test_solve_refuses_a_family_above_the_budget(tmp_path, capsys):
+def test_solve_refuses_a_family_above_the_budget(tmp_path, capsys, monkeypatch):
     """The first n = 50 tree after four at n = 30 and four at n = 40 from
-    random.Random(5): building its family would exhaust memory."""
+    random.Random(5), with the budget cut to 10^5 so the refusal comes fast."""
     rng = random.Random(5)
     for n in (30,) * 4 + (40,) * 4:
         random_tree(n, rng)
     f = tmp_path / "t50.graph"
     f.write_text(serialize_graph(random_tree(50, rng)))
+    monkeypatch.setattr(solver, "MAX_FAMILY", 10**5)
     for algo, count in (("a158", 1350925056), ("a162", 8024106424)):
-        start = time.perf_counter()
         assert main(["solve", str(f), "--algo", algo]) == 3
-        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err == f"input error: candidate family of {count} sets exceeds the budget of {MAX_FAMILY}\n"
+        assert re.fullmatch(f"input error: candidate family of {count} sets: a pruned list of "
+                            r"\d+ exceeds the budget of 100000\n", err), err
+
+
+@pytest.mark.parametrize("graph, mp, family", [(path, 14, 267914296), (cycle, 13, 239629831)],
+                         ids=["p40", "c40"])
+def test_solve_a162_of_the_40_vertex_path_and_cycle(tmp_path, capsys, graph, mp, family):
+    """Their unpruned families are above the budget; their pruned lists, at
+    most 5 736 961 sets, are not."""
+    f = tmp_path / "g40.graph"
+    f.write_text(serialize_graph(graph(40)))
+    code, out = run(capsys, "solve", str(f), "--algo", "a162", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["mp"], report["family_size"]) == (mp, family)
+    assert family > solver.MAX_FAMILY
 
 
 def test_verify(p4_file, tmp_path, capsys):
@@ -191,13 +205,16 @@ def test_check(p4_file, tmp_path, capsys):
     assert code == 2
 
 
-# The `check` property that certifies each claim a reduction writes, as
-# README lists them; `conv_promise` is an unchecked promise about the input.
-CLAIM_PROPS = {"chordal": "chordal", "bipartite": "bipartite", "claw_free": "clawfree",
-               "half_hyperbolic": "hyperbolicity"}
+def readme_claim_props() -> dict[str, str]:
+    """README's claim table, the one listing of the `check` property that
+    certifies each claim a reduction writes (`none` for an unchecked one)."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    return dict(re.findall(r"^\| `([^`]+)` \| `?([a-z]+)`? \|", text, re.M))
 
 
 def test_each_claim_passes_its_check(tmp_path, p4_file, capsys):
+    props = readme_claim_props()
+    assert props["conv_promise"] == "none"
     hs = tmp_path / "inst.hs"
     hs.write_text("4 3 3\n2 0 1\n2 1 2\n2 2 3\n")
     k33 = tmp_path / "k33.graph"
@@ -209,10 +226,10 @@ def test_each_claim_passes_its_check(tmp_path, p4_file, capsys):
         prefix = tmp_path / f"out{i}"
         assert run(capsys, "reduce", *argv, "--out", str(prefix))[0] == 0
         for claim in (tmp_path / f"out{i}.claims").read_text().split():
-            if claim == "conv_promise":
-                continue
             regular = re.fullmatch(r"regular\((\d+)\)", claim)
-            prop = "regular" if regular else CLAIM_PROPS[claim]
+            prop = props["regular(2d)" if regular else claim]
+            if prop == "none":
+                continue
             code, out = run(capsys, "check", f"{prefix}.graph", "--props", prop)
             assert code == 0, (claim, out)
             if regular:

@@ -454,17 +454,20 @@ def test_worst_case_tree_at_n18(n, edges, mp, family_158, family_162):
     assert solve_detailed(g, "a162") == expected + (family_162,)
 
 
-def test_family_budget_admits_its_bound_and_refuses_above_it(monkeypatch):
+def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
+    """P_12 under split_162: 377 candidate sets, of which the kernel keeps
+    129, its longest list. A budget of 129 admits the solve, 128 refuses it."""
     import multipacking.solver as solver_module
 
     g = path(12)
     t = bfs_tree(g, 0)
-    count = family_count(t, split_158)
-    monkeypatch.setattr(solver_module, "MAX_FAMILY", count)
-    assert family_packings(t, split_158, [0] * 12)[1] == count
-    monkeypatch.setattr(solver_module, "MAX_FAMILY", count - 1)
-    with pytest.raises(ValueError, match=f"family of {count} sets exceeds the budget of {count - 1}"):
-        solve_detailed(g, "a158")
+    kept = len(family_packings(t, split_162, ball_masks(g).near)[0])
+    assert (family_count(t, split_162), kept) == (377, 129)
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", kept)
+    assert solve_detailed(g, "a162") == (4, (0, 3, 6, 9), 377)
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", kept - 1)
+    with pytest.raises(ValueError, match="family of 377 sets: a pruned list of 129 exceeds the budget of 128"):
+        solve_detailed(g, "a162")
 
 
 def test_worst_families_of_all_trees_up_to_12():
