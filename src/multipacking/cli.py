@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage
-error (argparse default), 3 malformed input or a pruned candidate list
-above ``solver.MAX_FAMILY`` (``input error: ...``) or a file that cannot be
-read or written (``error: ...``).
+error (argparse default), 3 malformed input, a solve refused by
+``solver.MAX_FAMILY`` or by its branching depth (``input error: ...``) or a
+file that cannot be read or written (``error: ...``).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .rooted_tree import bfs_tree
 
 JSON_SCHEMA = "multipacking-report/1"
 BENCH_MAX_N = 200  # `bench family --max-n` bound; five n = 200 trees count in 0.3 s
+COUNT_MAX_N = 20_000  # `count paths -n` bound; counts reach 3 300 digits, Python prints 4 300
 
 
 def cmd_solve(args) -> int:
@@ -140,6 +141,8 @@ def cmd_count(args) -> int:
         raise ValueError(f"--verify-upto must be >= 0, got {args.verify_upto}")
     if upto > DEFAULT_MP_CAP:
         raise ValueError(f"--verify-upto enumerates paths up to n={upto}, above cap {DEFAULT_MP_CAP}")
+    if args.n > COUNT_MAX_N:
+        raise ValueError(f"-n must be at most {COUNT_MAX_N}, got {args.n}")
     counts = (
         pathcount.count_all_path(args.n)
         if args.kind == "all"

@@ -19,9 +19,9 @@ pass alone); a build pass builds each pruned list once, shares it with every
 parent and frees it after its last use.  The witness pick is one pass over
 the survivors that skips sets above rad and sets that cannot beat the best so
 far, and calls ``fits_balls`` on the rest: the kernel already settled radius
-1, so it counts members only at radii 2..k-1, in the maximal ball bitmasks
-that ``ball_masks`` lists once per size k from ``graph.ball_rows``.  The
-oracle reads the same rows, but its DFS shares no code with ``fits_balls``,
+1, so it counts members only at radii 2..rad-1, in one radius-ordered tuple
+of maximal ball bitmasks that ``ball_masks`` reads off ``graph.ball_rows``.
+The oracle reads the same rows, but its DFS shares no code with ``fits_balls``,
 so comparing the solvers with the oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
 families as ``frozenset``s and are the reference the kernel is tested
@@ -30,9 +30,10 @@ against.
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .graph import Graph, ball_rows, connected_components, induced_subgraph, members
+from .graph import Graph, ball_rows, bfs_distances, connected_components, induced_subgraph, members
 from .rooted_tree import RootedTree, bfs_tree, deepest_vertices
 
 Family = set[frozenset[int]]
@@ -189,7 +190,13 @@ def _plan(t: RootedTree, split: Split) -> tuple[int, dict[int, tuple], dict[int,
             steps[key] = (count, w, rest.alive, without.alive)
         return count
 
-    return visit(t), steps, uses
+    # One frame per nested state, so chains about n deep (a star's leaves
+    # under split_162) pass the limit; raising it could overflow the C stack.
+    try:
+        return visit(t), steps, uses
+    except RecursionError:
+        raise ValueError(f"the candidate family of a {t.n}-vertex tree nests deeper "
+                         f"than the recursion limit of {sys.getrecursionlimit()}") from None
 
 
 def family_count(t: RootedTree, split: Split) -> int:
@@ -254,14 +261,14 @@ class BallMasks(NamedTuple):
     """The balls of a connected graph that decide whether a set is a multipacking.
 
     Vertex sets are int bitmasks (bit v for vertex v).  ``near[u]`` is
-    N_2[u] without u.  ``sized[k]``, for 0 <= k <= max(rad, 2), holds the
-    (r, ball) pairs with 2 <= r < k whose ball N_r[v] is inclusion-maximal
-    among the balls of radius r: the balls that decide a k-set.
+    N_2[u] without u.  ``maximal`` holds the (r, ball) pairs with
+    2 <= r < rad, in ascending r, whose ball N_r[v] is inclusion-maximal
+    among the balls of radius r.
     """
 
     rad: int
     near: tuple[int, ...]
-    sized: tuple[tuple[tuple[int, int], ...], ...]
+    maximal: tuple[tuple[int, int], ...]
 
 
 def ball_masks(g: Graph) -> BallMasks:
@@ -270,15 +277,15 @@ def ball_masks(g: Graph) -> BallMasks:
     rad = min(len(row) for row in rows) - 1
     # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
-    sized: list[tuple[tuple[int, int], ...]] = [()] * (max(rad, 2) + 1)
+    maximal: list[tuple[int, int]] = []
     for r in range(2, rad):
         # Largest first: a ball that holds b is kept or held by a kept ball.
         kept: list[int] = []
         for b in sorted({row[r] for row in rows}, key=int.bit_count, reverse=True):
             if not any(b & c == b for c in kept):
                 kept.append(b)
-        sized[r + 1] = sized[r] + tuple((r, b) for b in kept)
-    return BallMasks(rad, near, tuple(sized))
+        maximal += ((r, b) for b in kept)
+    return BallMasks(rad, near, tuple(maximal))
 
 
 def fits_balls(balls: BallMasks, mask: int) -> bool:
@@ -287,11 +294,11 @@ def fits_balls(balls: BallMasks, mask: int) -> bool:
 
     Those are the sets the solve tests: the kernel settles r = 1, and a set
     above rad fails at the center, whose radius-rad ball is the whole graph.
-    Radii r >= |M| are vacuous, and at 2 <= r < |M| a ball inside another
-    ball of the same radius holds no more members, so ``sized[|M|]`` decides.
+    Radii r >= |M| are vacuous, and a ball inside another ball of the same
+    radius holds no more members, so ``maximal`` read whole decides.
     """
     # A for loop: all() over a generator cost a quarter of the pick.
-    for r, b in balls.sized[mask.bit_count()]:
+    for r, b in balls.maximal:
         if (b & mask).bit_count() > r:
             return False
     return True
@@ -301,6 +308,27 @@ _SPLITS: dict[str, Split] = {"a158": split_158, "a162": split_162}
 
 
 def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]:
+    """(MP, witness, unpruned family size) of the connected g.
+
+    First, before any ball or tree is built, it refuses g when a shortest
+    path has more multipackings than ``MAX_FAMILY``.  The BFS tree from
+    vertex 0 has height h = ecc(0), and its root-to-deepest path is a
+    shortest path of g with h + 1 vertices.  A ball N_r[v] meets a shortest
+    path inside a stretch of length <= 2r, which lies in the path's own
+    radius-r ball about its middle, so every multipacking of that path is one
+    of g.  The root's pruned list holds every multipacking of g, so it has at
+    least c_{h+1} sets, where c_k = c_{k-1} + c_{k-3} (c_1..c_3 = 2, 3, 4)
+    counts the multipackings of P_k: whenever c_{h+1} > ``MAX_FAMILY`` the
+    build would refuse g anyway.  The message leaves c out, as it can pass
+    Python's int-to-str digit limit.
+    """
+    h = max(bfs_distances(g, 0))
+    a, b, c = 1, 1, 1  # c_{-2}, c_{-1}, c_0
+    for _ in range(h + 1):
+        a, b, c = b, c, c + a
+        if c > MAX_FAMILY:
+            raise ValueError(f"a shortest path of {h + 1} vertices has more multipackings "
+                             f"than the budget of {MAX_FAMILY}")
     balls = ball_masks(g)
     packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
     # The kernel dropped every set with two members within distance 2, and

@@ -77,6 +77,34 @@ def test_solve_refuses_a_family_above_the_budget(tmp_path, capsys, monkeypatch):
                             r"\d+ exceeds the budget of 100000\n", err), err
 
 
+@pytest.mark.parametrize("algo", ["a158", "a162"])
+def test_solve_refuses_a_long_shortest_path_at_once(tmp_path, capsys, algo):
+    """P_1000 has c_1000 multipackings, far above the budget: one stderr
+    line, before any ball or tree is built."""
+    f = tmp_path / "p1000.graph"
+    f.write_text(serialize_graph(path(1000)))
+    t0 = time.perf_counter()
+    assert main(["solve", str(f), "--algo", algo]) == 3
+    assert time.perf_counter() - t0 < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: a shortest path of 1000 vertices has more multipackings "
+                   f"than the budget of {solver.MAX_FAMILY}\n")
+
+
+@pytest.mark.parametrize("algo", ["a158", "a162"])
+def test_solve_refuses_deep_branching(tmp_path, capsys, algo):
+    """The broom made of edge 0-1 and 1 500 leaves on vertex 1 (height 2,
+    MP 1) nests about 1 500 states deep in the plan pass."""
+    f = tmp_path / "broom.graph"
+    f.write_text(serialize_graph(Graph.from_edges(1502, [(0, 1)] + [(1, v) for v in range(2, 1502)])))
+    assert main(["solve", str(f), "--algo", algo]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch("input error: the candidate family of a 1502-vertex tree nests deeper "
+                        r"than the recursion limit of \d+\n", err), err
+
+
 @pytest.mark.parametrize("graph, mp, family", [(path, 14, 267914296), (cycle, 13, 239629831)],
                          ids=["p40", "c40"])
 def test_solve_a162_of_the_40_vertex_path_and_cycle(tmp_path, capsys, graph, mp, family):
@@ -277,6 +305,16 @@ def test_count_rejects_out_of_range_verify_upto(capsys, argv):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: --verify-upto")
+
+
+def test_count_refuses_n_above_the_bound(capsys):
+    """Above ``COUNT_MAX_N`` the counts would pass Python's int-to-str digit
+    limit mid-table; the refusal comes before anything is printed."""
+    code = main(["count", "paths", "-n", str(cli.COUNT_MAX_N + 1)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == f"input error: -n must be at most {cli.COUNT_MAX_N}, got {cli.COUNT_MAX_N + 1}\n"
 
 
 def test_duality(p4_file, capsys):

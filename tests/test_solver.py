@@ -18,6 +18,7 @@ from multipacking.oracle import (
     enumerate_multipackings,
     is_multipacking,
 )
+from multipacking.pathcount import count_all_path
 from multipacking.randgen import random_connected_graph, random_tree
 from multipacking.rooted_tree import RootedTree, bfs_tree, deepest_vertices
 from multipacking.solver import (
@@ -222,9 +223,9 @@ def test_maximal_balls_match_the_quadratic_filter():
     graphs = [g for g in graphs if is_connected(g)] + [random_tree(rng.randint(2, 40), rng) for _ in range(150)]
     for g in graphs:
         D = all_pairs(g)
-        sized = ball_masks(g).sized
-        for r in range(2, len(sized) - 1):
-            maximal = [b for s, b in sized[r + 1] if s == r]
+        masks = ball_masks(g)
+        for r in range(2, masks.rad):
+            maximal = [b for s, b in masks.maximal if s == r]
             balls = {sum(1 << u for u, d in enumerate(row) if d <= r) for row in D}
             expected = {b for b in balls if not any(b != c and b & c == b for c in balls)}
             assert len(maximal) == len(expected) and set(maximal) == expected, g.adj
@@ -456,7 +457,10 @@ def test_worst_case_tree_at_n18(n, edges, mp, family_158, family_162):
 
 def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     """P_12 under split_162: 377 candidate sets, of which the kernel keeps
-    129, its longest list. A budget of 129 admits the solve, 128 refuses it."""
+    129, its longest list, and P_12 has c_12 = 129 multipackings. A budget
+    of 129 admits the solve; 128 refuses it by the shortest-path bound. The
+    12-leaf star keeps its whole family of 14 sets in one list: a budget of
+    14 admits it, 13 refuses it at that list."""
     import multipacking.solver as solver_module
 
     g = path(12)
@@ -466,8 +470,46 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     monkeypatch.setattr(solver_module, "MAX_FAMILY", kept)
     assert solve_detailed(g, "a162") == (4, (0, 3, 6, 9), 377)
     monkeypatch.setattr(solver_module, "MAX_FAMILY", kept - 1)
-    with pytest.raises(ValueError, match="family of 377 sets: a pruned list of 129 exceeds the budget of 128"):
+    with pytest.raises(ValueError, match="a shortest path of 12 vertices has more multipackings than the budget of 128"):
         solve_detailed(g, "a162")
+    g = star(12)
+    t = bfs_tree(g, 0)
+    assert family_count(t, split_162) == len(family_packings(t, split_162, ball_masks(g).near)[0]) == 14
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", 14)
+    assert solve_detailed(g, "a162") == (1, (0,), 14)
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", 13)
+    with pytest.raises(ValueError, match="family of 14 sets: a pruned list of 14 exceeds the budget of 13"):
+        solve_detailed(g, "a162")
+
+
+def test_shortest_path_refusal_builds_no_ball_or_tree(monkeypatch):
+    """With the budget at 129 = c_12, P_12 still solves, and P_13
+    (c_13 = 189) is refused before ``ball_masks`` or ``bfs_tree`` runs."""
+    import multipacking.solver as solver_module
+
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", 129)
+    assert solve_detailed(path(12), "a162") == (4, (0, 3, 6, 9), 377)
+
+    def fail(*args):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(solver_module, "ball_masks", fail)
+    monkeypatch.setattr(solver_module, "bfs_tree", fail)
+    with pytest.raises(ValueError, match="a shortest path of 13 vertices has more multipackings than the budget of 129"):
+        solve_detailed(path(13), "a162")
+
+
+def test_root_list_holds_the_multipackings_of_a_shortest_path():
+    """The bound the shortest-path refusal rests on: the root's pruned list
+    has at least c_{h+1} sets, h the height of the BFS tree from vertex 0."""
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_connected_graph(n, rng, rng.choice((0.3, 0.05, 1 / n)))
+        t = bfs_tree(g, 0)
+        c = count_all_path(t.height + 1)[-1]
+        for split in (split_158, split_162):
+            assert len(family_packings(t, split, ball_masks(g).near)[0]) >= c, g.adj
 
 
 def test_worst_families_of_all_trees_up_to_12():
