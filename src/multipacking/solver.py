@@ -16,7 +16,11 @@ two passes over the distinct masks: a plan pass (``_plan``) calls the rule
 once per mask, records its step and its number of uses, and counts the full
 unpruned family size without materialising it (``family_count`` runs this
 pass alone); a build pass builds each pruned list once, shares it with every
-parent and frees it after its last use.  The witness pick is one pass over
+parent and frees it after its last use.  A build also takes a size floor: it
+drops every set that cannot grow into a root set of that many members.  The
+solve builds once at floor max(rad, 1), an upper bound on MP, and only if no
+set of that size fits, once more at a lower bound on MP (the proofs are in
+``family_packings`` and ``_solve_component``).  The witness pick is one pass over
 the survivors that skips sets above rad and sets that cannot beat the best so
 far, and calls ``fits_balls`` on the rest: the kernel already settled radius
 1, so it counts members only at radii 2..rad-1, in one radius-ordered tuple
@@ -40,11 +44,12 @@ Family = set[frozenset[int]]
 
 # The longest pruned list ``family_packings`` builds.  A solve's peak memory
 # is about 50 bytes per set of its longest list, and the unpruned count can
-# be larger by orders of magnitude.  Measured: it admits a158 and a162 on P_n
-# for n <= 41, on C_n for n <= 42 and on 16 random trees with n = 40 (lists
-# to 8.0e6 sets, 394 MiB), and refuses P_42 and nine random trees with
-# 45 <= n <= 120.  It bounds each list, not their sum, so a refusal can hold
-# more.
+# be larger by orders of magnitude.  Measured with the solve's size floors:
+# it admits a158 and a162 on P_n for n <= 41 (P_42 is refused by the
+# shortest-path bound), a158 on C_n for n <= 81 and a162 on C_n for
+# n <= 67, and 16 random trees with n = 40 (lists to 8.0e6 sets, 394 MiB);
+# it still refuses nine random trees with 45 <= n <= 120.  It bounds each
+# list, not their sum, so a refusal can hold more.
 MAX_FAMILY = 10**7
 
 
@@ -205,10 +210,90 @@ def family_count(t: RootedTree, split: Split) -> int:
     return _plan(t, split)[0]
 
 
-def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[list[int], int]:
-    """The members of t's candidate family under ``split`` that have no two
-    vertices u, v with bit v in ``near[u]``, as bitmasks; and the size of the
-    whole family.  ``near`` must be symmetric and leave out u itself.
+def _lows(steps: dict[int, tuple], floor: int) -> dict[int, int]:
+    """For every state S of the plan, the fewest members a set in S's list
+    needs to end in a root set of at least ``floor`` members: floor minus
+    gain(S), and never below 0.
+
+    gain(S) is the most members a branch path from the root to S adds above
+    S: a with-w step adds w to the sets of ``rest``, a spider step adds a
+    spider member (at most two vertices), and the step to ``without`` adds
+    nothing.  ``steps`` is filled in post-order, so its reverse visits every
+    parent before its children and the max over parents is final when read.
+    """
+    gain = dict.fromkeys(steps, 0)
+    for key in reversed(steps):
+        _, w, rest, other = steps[key]
+        if rest is None:
+            continue
+        gain[rest] = max(gain[rest], gain[key] + (2 if w is None else 1))
+        if w is not None:
+            gain[other] = max(gain[other], gain[key])
+    return {key: max(floor - g, 0) for key, g in gain.items()}
+
+
+def _at_least(k: int, sets: list[int], held: int) -> list[int]:
+    """The sets with at least k members, of a list whose sets hold at least
+    ``held``; the list itself when that is enough."""
+    return sets if held >= k else [m for m in sets if m.bit_count() >= k]
+
+
+def _build(root: int, plan: tuple[int, dict[int, tuple], dict[int, int]],
+           near: Sequence[int], floor: int) -> list[int]:
+    """The build pass of ``family_packings`` over a ``_plan`` of the tree
+    whose ``alive`` mask is ``root``; the plan is left as it was."""
+    count, steps, uses = plan
+    uses = dict(uses)
+    lows = _lows(steps, floor)
+    lists: dict[int, list[int]] = {}
+
+    def build(key: int) -> list[int]:
+        uses[key] -= 1
+        if key in lists:
+            return lists[key] if uses[key] else lists.pop(key)
+        _, w, rest, other = steps[key]
+        low = lows[key]
+        if rest is None:
+            # The empty set, then the singletons.
+            out = ([0] + [1 << v for v in members(key)])[low:] if low < 2 else []
+        elif w is None:
+            # A member has at most two vertices, its lowest and its highest bit.
+            ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
+                    for m in other if m)
+            blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
+            if low <= lows[rest]:
+                out = [m1 | m2 for m1 in build(rest) for m2, block in blocks if not m1 & block]
+            else:
+                # sized[j]: the blocks of at least j vertices (blocks[0] is
+                # the empty one); fit[k]: those that lift k members to ``low``.
+                pairs = [(m, block) for m, block in blocks if m & (m - 1)]
+                sized = (blocks, blocks[1:], pairs, [])
+                fit = [sized[min(max(low - k, 0), 3)] for k in range(rest.bit_count() + 1)]
+                out = [m1 | m2 for m1 in build(rest) for m2, block in fit[m1.bit_count()]
+                       if not m1 & block]
+        else:
+            bit, block = 1 << w, near[w]
+            # The sets with w come first; building them before ``without``
+            # lets ``rest``'s list go before the other branch is built.
+            out = [m | bit for m in _at_least(low - 1, build(rest), lows[rest]) if not m & block]
+            out += _at_least(low, build(other), lows[other])
+        if len(out) > MAX_FAMILY:
+            raise ValueError(f"candidate family of {count} sets: a pruned list of {len(out)} "
+                             f"exceeds the budget of {MAX_FAMILY}")
+        if uses[key]:
+            lists[key] = out
+        return out
+
+    return build(root)
+
+
+def family_packings(
+    t: RootedTree, split: Split, near: Sequence[int], floor: int = 0
+) -> tuple[list[int], int]:
+    """The members of t's candidate family under ``split`` that have at least
+    ``floor`` members and no two vertices u, v with bit v in ``near[u]``, as
+    bitmasks; and the size of the whole family.  ``near`` must be symmetric
+    and leave out u itself.
 
     With ``near = ball_masks(g).near`` this keeps the family members with no
     two vertices within distance 2 of G.  Pruning while building is sound:
@@ -224,49 +309,30 @@ def family_packings(t: RootedTree, split: Split, near: Sequence[int]) -> tuple[l
     and drops it from its table when the last use has taken it.  A pruned
     list longer than ``MAX_FAMILY`` raises ``ValueError`` as soon as it is
     built.
+
+    The size floor: a set m in state S's list reaches the root as m plus at
+    most gain(S) members (``_lows``), so the build drops m when
+    |m| + gain(S) < ``floor`` and drops only root sets with fewer than
+    ``floor`` members; at the root, gain is 0.  Each list is the floor-0
+    list with some sets left out, in the same order, so the root list is the
+    floor-0 list's sets of at least ``floor`` members, and no list is longer
+    than at floor 0, so the budget refuses nothing that floor 0 admits.
     """
-    count, steps, uses = _plan(t, split)
-    lists: dict[int, list[int]] = {}
-
-    def build(key: int) -> list[int]:
-        uses[key] -= 1
-        if key in lists:
-            return lists[key] if uses[key] else lists.pop(key)
-        _, w, rest, other = steps[key]
-        if rest is None:
-            out = [0] + [1 << v for v in members(key)]
-        elif w is None:
-            # A member has at most two vertices, its lowest and its highest bit.
-            ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
-                    for m in other if m)
-            blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
-            out = [m1 | m2 for m1 in build(rest) for m2, block in blocks if not m1 & block]
-        else:
-            bit, block = 1 << w, near[w]
-            # The sets with w come first; building them before ``without``
-            # lets ``rest``'s list go before the other branch is built.
-            out = [m | bit for m in build(rest) if not m & block]
-            out += build(other)
-        if len(out) > MAX_FAMILY:
-            raise ValueError(f"candidate family of {count} sets: a pruned list of {len(out)} "
-                             f"exceeds the budget of {MAX_FAMILY}")
-        if uses[key]:
-            lists[key] = out
-        return out
-
-    return build(t.alive), count
+    plan = _plan(t, split)
+    return _build(t.alive, plan, near, floor), plan[0]
 
 
 class BallMasks(NamedTuple):
     """The balls of a connected graph that decide whether a set is a multipacking.
 
-    Vertex sets are int bitmasks (bit v for vertex v).  ``near[u]`` is
-    N_2[u] without u.  ``maximal`` holds the (r, ball) pairs with
-    2 <= r < rad, in ascending r, whose ball N_r[v] is inclusion-maximal
-    among the balls of radius r.
+    Vertex sets are int bitmasks (bit v for vertex v).  ``rad`` and ``diam``
+    are the graph's radius and diameter.  ``near[u]`` is N_2[u] without u.
+    ``maximal`` holds the (r, ball) pairs with 2 <= r < rad, in descending
+    r, whose ball N_r[v] is inclusion-maximal among the balls of radius r.
     """
 
     rad: int
+    diam: int
     near: tuple[int, ...]
     maximal: tuple[tuple[int, int], ...]
 
@@ -278,14 +344,20 @@ def ball_masks(g: Graph) -> BallMasks:
     # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
     maximal: list[tuple[int, int]] = []
-    for r in range(2, rad):
+    # Widest radius first: the sets of rad members that a round-1 pick tests
+    # mostly fail there (2-3x faster when none fits, at n = 40).
+    for r in range(rad - 1, 1, -1):
         # Largest first: a ball that holds b is kept or held by a kept ball.
         kept: list[int] = []
         for b in sorted({row[r] for row in rows}, key=int.bit_count, reverse=True):
-            if not any(b & c == b for c in kept):
+            # A for loop: any() over a generator cost a quarter of this filter.
+            for c in kept:
+                if b & c == b:
+                    break
+            else:
                 kept.append(b)
         maximal += ((r, b) for b in kept)
-    return BallMasks(rad, near, tuple(maximal))
+    return BallMasks(rad, max(len(row) for row in rows) - 1, near, tuple(maximal))
 
 
 def fits_balls(balls: BallMasks, mask: int) -> bool:
@@ -316,13 +388,31 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
     shortest path of g with h + 1 vertices.  A ball N_r[v] meets a shortest
     path inside a stretch of length <= 2r, which lies in the path's own
     radius-r ball about its middle, so every multipacking of that path is one
-    of g.  The root's pruned list holds every multipacking of g, so it has at
-    least c_{h+1} sets, where c_k = c_{k-1} + c_{k-3} (c_1..c_3 = 2, 3, 4)
-    counts the multipackings of P_k: whenever c_{h+1} > ``MAX_FAMILY`` the
-    build would refuse g anyway.  The message leaves c out, as it can pass
+    of g.  The root's floor-0 list holds every multipacking of g, so it has
+    at least c_{h+1} sets, where c_k = c_{k-1} + c_{k-3} (c_1..c_3 = 2, 3, 4)
+    counts the multipackings of P_k.  The solve builds at a size floor, whose
+    lists can be shorter, so the refusal is the budget of the floor-0 family;
+    it comes before ``ball_masks``, whose rows take memory cubic in the
+    length of a long path.  The message leaves c out, as it can pass
     Python's int-to-str digit limit.
+
+    Then one plan pass serves at most two builds, each at a size floor
+    (``family_packings``) that keeps every root set of at least that size:
+    - Round 1 builds at floor top = max(rad, 1).  MP <= gamma_b <= rad
+      (Brewster and Duchesne), and MP = 1 on one vertex, so top >= MP.  The
+      pick skips sets above top, so a set of size top that fits is maximum,
+      and every set of that size is in the list, so the tie-break sees them
+      all.
+    - If none fits, MP < top, so the pick skips sets above top - 1, and
+      round 2 builds at floor max(ceil((diam + 1) / 3), |G|), with G a
+      greedy multipacking.  Every third vertex of a diametral path, a
+      shortest path of diam + 1 vertices, is a multipacking of that path
+      and so of g, and every set G grows to passed ``fits_balls``; so the
+      floor is at most MP, every set of size MP is in the list, and the
+      pick returns the (MP, witness) of the floor-0 list.
     """
-    h = max(bfs_distances(g, 0))
+    dist = bfs_distances(g, 0)
+    h = max(dist)
     a, b, c = 1, 1, 1  # c_{-2}, c_{-1}, c_0
     for _ in range(h + 1):
         a, b, c = b, c, c + a
@@ -330,10 +420,27 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
             raise ValueError(f"a shortest path of {h + 1} vertices has more multipackings "
                              f"than the budget of {MAX_FAMILY}")
     balls = ball_masks(g)
-    packings, family_size = family_packings(bfs_tree(g, 0), split, balls.near)
-    # The kernel dropped every set with two members within distance 2, and
-    # a set above max(rad, 1) cannot fit, so fits_balls decides the rest.
+    t = bfs_tree(g, 0)
+    plan = _plan(t, split)
     top = max(balls.rad, 1)
+    size, best = _pick(balls, _build(t.alive, plan, balls.near, top), top)
+    if size < top:
+        # A greedy multipacking, vertices in BFS order from the root.  Its
+        # sets hold at most MP + 1 <= top members, as fits_balls requires.
+        greedy = 0
+        for v in sorted(range(g.n), key=dist.__getitem__):
+            if not balls.near[v] & greedy and fits_balls(balls, greedy | 1 << v):
+                greedy |= 1 << v
+        floor = max((balls.diam + 3) // 3, greedy.bit_count())
+        size, best = _pick(balls, _build(t.alive, plan, balls.near, floor), top - 1)
+    return size, tuple(members(best)), plan[0]
+
+
+def _pick(balls: BallMasks, packings: list[int], top: int) -> tuple[int, int]:
+    """(size, mask) of the largest set of ``packings`` that fits ``balls``,
+    the lexicographically smallest member tuple among equals; (0, 0) if none
+    fits.  ``packings`` holds the kernel's sets, with no two members within
+    distance 2, and a set above ``top`` = max(rad, 1) cannot fit."""
     size = best = 0
     for m in packings:
         k = m.bit_count()
@@ -349,7 +456,7 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
             continue
         if fits_balls(balls, m):
             size, best = k, m
-    return size, tuple(members(best)), family_size
+    return size, best
 
 
 def solve_detailed(g: Graph, algo: str) -> tuple[int, tuple[int, ...], int]:

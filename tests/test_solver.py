@@ -434,6 +434,28 @@ def test_pick_equals_the_definitional_scan():
             assert solve_detailed(g, algo) == _scan_solve(g, split), (algo, g.adj)
 
 
+def test_size_floor_keeps_every_large_set_and_the_answer():
+    """At every floor f from 0 to max(rad, 1) + 1, the root list is the
+    floor-0 list's sets of at least f members, in the same order, and the
+    two-round solve equals the floor-0 scan."""
+    rng = random.Random(89)
+    graphs = [random_tree(rng.randint(1, 22), rng) for _ in range(24)]
+    graphs += [random_connected_graph(rng.randint(1, 18), rng, rng.choice((0.3, 0.1, 0.05))) for _ in range(24)]
+    graphs += [path(n) for n in range(1, 31)] + [cycle(n) for n in range(3, 31)]
+    graphs += [star(k) for k in range(1, 8)]
+    for g in graphs:
+        balls = ball_masks(g)
+        assert balls.diam == max(max(row) for row in all_pairs(g))
+        t = bfs_tree(g, 0)
+        for algo, split in (("a158", split_158), ("a162", split_162)):
+            whole, count = family_packings(t, split, balls.near)
+            for f in range(max(balls.rad, 1) + 2):
+                kept, kept_count = family_packings(t, split, balls.near, f)
+                assert kept_count == count
+                assert kept == [m for m in whole if m.bit_count() >= f], (algo, f, g.adj)
+            assert solve_detailed(g, algo) == _scan_solve(g, split), (algo, g.adj)
+
+
 @pytest.mark.parametrize("n, edges, mp, family_158, family_162", [
     pytest.param(17, [(0, 1), (0, 8), (1, 2), (1, 6), (1, 7), (2, 3), (2, 14), (3, 4), (3, 5),
                       (4, 9), (4, 15), (6, 13), (8, 10), (8, 12), (9, 16), (10, 11)],
@@ -459,8 +481,9 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     """P_12 under split_162: 377 candidate sets, of which the kernel keeps
     129, its longest list, and P_12 has c_12 = 129 multipackings. A budget
     of 129 admits the solve; 128 refuses it by the shortest-path bound. The
-    12-leaf star keeps its whole family of 14 sets in one list: a budget of
-    14 admits it, 13 refuses it at that list."""
+    12-leaf star keeps its whole family of 14 sets in one list at floor 0;
+    its solve builds at floor rad = 1, which drops the empty set, so a
+    budget of 13 admits it and 12 refuses it at that list."""
     import multipacking.solver as solver_module
 
     g = path(12)
@@ -475,10 +498,10 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     g = star(12)
     t = bfs_tree(g, 0)
     assert family_count(t, split_162) == len(family_packings(t, split_162, ball_masks(g).near)[0]) == 14
-    monkeypatch.setattr(solver_module, "MAX_FAMILY", 14)
-    assert solve_detailed(g, "a162") == (1, (0,), 14)
     monkeypatch.setattr(solver_module, "MAX_FAMILY", 13)
-    with pytest.raises(ValueError, match="family of 14 sets: a pruned list of 14 exceeds the budget of 13"):
+    assert solve_detailed(g, "a162") == (1, (0,), 14)
+    monkeypatch.setattr(solver_module, "MAX_FAMILY", 12)
+    with pytest.raises(ValueError, match="family of 14 sets: a pruned list of 13 exceeds the budget of 12"):
         solve_detailed(g, "a162")
 
 
