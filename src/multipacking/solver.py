@@ -17,16 +17,19 @@ once per mask, records its step and its number of uses, and counts the full
 unpruned family size without materialising it (``family_count`` runs this
 pass alone); a build pass builds each pruned list once, shares it with every
 parent and frees it after its last use.  A build also takes a size floor: it
-drops every set that cannot grow into a root set of that many members.  The
-solve builds once at floor max(rad, 1), an upper bound on MP, and only if no
-set of that size fits, once more at a lower bound on MP (the proofs are in
+drops every set that cannot grow into a root set of that many members.
+Before it builds, the solve walks the multipackings in lexicographic order
+for at most ``PREFIX_BUDGET`` children; the walk answers when it reaches
+max(rad, 1) members, an upper bound on MP, or runs out of sets.  Otherwise
+the solve builds once, at a lower bound on MP (the proofs are in
 ``family_packings`` and ``_solve_component``).  The witness pick is one pass over
 the survivors that skips sets above rad and sets that cannot beat the best so
 far, and calls ``fits_balls`` on the rest: the kernel already settled radius
 1, so it counts members only at radii 2..rad-1, in one radius-ordered tuple
 of maximal ball bitmasks that ``ball_masks`` reads off ``graph.ball_rows``.
-The oracle reads the same rows, but its DFS shares no code with ``fits_balls``,
-so comparing the solvers with the oracle compares two independent checkers.
+The walk tests each set the same way.  The oracle reads the same rows, but
+neither the walk nor ``fits_balls`` shares code with its DFS, so comparing
+the solvers with the oracle compares two independent checkers.
 ``candidate_family`` and ``candidate_family_162`` build the unpruned
 families as ``frozenset``s and are the reference the kernel is tested
 against.
@@ -51,6 +54,16 @@ Family = set[frozenset[int]]
 # it still refuses nine random trees with 45 <= n <= 120.  It bounds each
 # list, not their sum, so a refusal can hold more.
 MAX_FAMILY = 10**7
+
+# The most children the prefix search of a solve (``_solve_component``)
+# tries before it builds the family.  Each is one ``fits_balls`` call.  A
+# larger budget answers more solves without a build but wastes more steps
+# on the solves that build anyway.  Chosen in process on the 400 seed-1
+# ``trees`` bench instances (a158, per solve, best of 5, a 2-core host):
+# 0.69 ms with no prefix and two rounds of builds; 0.53 ms at 50 (-23 %,
+# 230 of 400 answered), 0.56 ms at 20 and at 100, 0.58 ms at 200 (-16 %),
+# and 0.84 ms at 1 000 (+22 %).
+PREFIX_BUDGET = 50
 
 
 def enumerate_h1(vertex_ids: Iterable[int]) -> Family:
@@ -344,8 +357,8 @@ def ball_masks(g: Graph) -> BallMasks:
     # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
     maximal: list[tuple[int, int]] = []
-    # Widest radius first: the sets of rad members that a round-1 pick tests
-    # mostly fail there (2-3x faster when none fits, at n = 40).
+    # Widest radius first: the sets of rad members that a pick tests mostly
+    # fail there (a pick that found none was 2-3x faster at n = 40).
     for r in range(rad - 1, 1, -1):
         # Largest first: a ball that holds b is kept or held by a kept ball.
         kept: list[int] = []
@@ -364,8 +377,9 @@ def fits_balls(balls: BallMasks, mask: int) -> bool:
     """True iff ``mask`` is a multipacking of the graph ``balls`` describes,
     for a set with at most max(rad, 1) members and no two within distance 2.
 
-    Those are the sets the solve tests: the kernel settles r = 1, and a set
-    above rad fails at the center, whose radius-rad ball is the whole graph.
+    Those are the sets the solve tests: the kernel and the prefix search
+    settle r = 1, and a set above rad fails at the center, whose radius-rad
+    ball is the whole graph.
     Radii r >= |M| are vacuous, and a ball inside another ball of the same
     radius holds no more members, so ``maximal`` read whole decides.
     """
@@ -396,23 +410,30 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
     length of a long path.  The message leaves c out, as it can pass
     Python's int-to-str digit limit.
 
-    Then one plan pass serves at most two builds, each at a size floor
-    (``family_packings``) that keeps every root set of at least that size:
-    - Round 1 builds at floor top = max(rad, 1).  MP <= gamma_b <= rad
-      (Brewster and Duchesne), and MP = 1 on one vertex, so top >= MP.  The
-      pick skips sets above top, so a set of size top that fits is maximum,
-      and every set of that size is in the list, so the tie-break sees them
-      all.
-    - If none fits, MP < top, so the pick skips sets above top - 1, and
-      round 2 builds at floor max(ceil((diam + 1) / 3), |G|), with G a
-      greedy multipacking.  Every third vertex of a diametral path, a
-      shortest path of diam + 1 vertices, is a multipacking of that path
-      and so of g, and every set G grows to passed ``fits_balls``; so the
-      floor is at most MP, every set of size MP is in the list, and the
-      pick returns the (MP, witness) of the floor-0 list.
+    Then one plan pass, which counts the family and refuses deep
+    branching, and a prefix search before any build.  MP <= gamma_b <= rad
+    (Brewster and Duchesne), and MP = 1 on one vertex, so top = max(rad, 1)
+    bounds MP.  The floor-0 list holds every multipacking, so its pick is
+    the lexicographically smallest sorted member tuple among the largest.
+    - The prefix walks vertex sets in lexicographic order of their sorted
+      member tuples, extends a set only by vertices above its last member,
+      and keeps a child only if it is a multipacking (no two members within
+      distance 2, then ``fits_balls``, as it has at most top members); each
+      child tried counts against ``PREFIX_BUDGET``.  Multipackings are
+      downward closed, so each is reached through its own prefixes, and the
+      walk visits every multipacking of at most top members, in that
+      order.  If it reaches a set of top members, MP = top and that set is
+      the pick's; if it runs out of sets within the budget, it has seen
+      every multipacking, and its first set of the largest size is the
+      pick's.
+    - Otherwise its best set L is a multipacking, and so is every third
+      vertex of a diametral path, a shortest path of diam + 1 vertices
+      (every multipacking of a shortest path is one of g).  So the floor
+      max(ceil((diam + 1) / 3), |L|) is at most MP, the one build at that
+      floor keeps every set of size MP, and the pick returns the (MP,
+      witness) of the floor-0 list.
     """
-    dist = bfs_distances(g, 0)
-    h = max(dist)
+    h = max(bfs_distances(g, 0))
     a, b, c = 1, 1, 1  # c_{-2}, c_{-1}, c_0
     for _ in range(h + 1):
         a, b, c = b, c, c + a
@@ -423,24 +444,33 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
     t = bfs_tree(g, 0)
     plan = _plan(t, split)
     top = max(balls.rad, 1)
-    size, best = _pick(balls, _build(t.alive, plan, balls.near, top), top)
-    if size < top:
-        # A greedy multipacking, vertices in BFS order from the root.  Its
-        # sets hold at most MP + 1 <= top members, as fits_balls requires.
-        greedy = 0
-        for v in sorted(range(g.n), key=dist.__getitem__):
-            if not balls.near[v] & greedy and fits_balls(balls, greedy | 1 << v):
-                greedy |= 1 << v
-        floor = max((balls.diam + 3) // 3, greedy.bit_count())
-        size, best = _pick(balls, _build(t.alive, plan, balls.near, floor), top - 1)
-    return size, tuple(members(best)), plan[0]
+    # The walk: cur is the set of the members on path, v the next vertex to try.
+    left, path, cur, best, v = PREFIX_BUDGET, [], 0, 0, 0
+    while len(path) < top and (path or v < g.n):
+        if v == g.n:
+            v = path.pop()  # every set that starts with path is seen
+            cur ^= 1 << v
+        elif not balls.near[v] & cur:
+            if not left:
+                floor = max((balls.diam + 3) // 3, best.bit_count())
+                best = _pick(balls, _build(t.alive, plan, balls.near, floor))
+                break
+            left -= 1
+            if fits_balls(balls, cur | 1 << v):
+                cur |= 1 << v
+                path.append(v)
+                if len(path) > best.bit_count():
+                    best = cur
+        v += 1
+    return best.bit_count(), tuple(members(best)), plan[0]
 
 
-def _pick(balls: BallMasks, packings: list[int], top: int) -> tuple[int, int]:
-    """(size, mask) of the largest set of ``packings`` that fits ``balls``,
-    the lexicographically smallest member tuple among equals; (0, 0) if none
-    fits.  ``packings`` holds the kernel's sets, with no two members within
-    distance 2, and a set above ``top`` = max(rad, 1) cannot fit."""
+def _pick(balls: BallMasks, packings: list[int]) -> int:
+    """The largest set of ``packings`` that fits ``balls``, the
+    lexicographically smallest member tuple among equals; 0 if none fits.
+    ``packings`` holds the kernel's sets, with no two members within
+    distance 2, and a set above top = max(rad, 1) cannot fit."""
+    top = max(balls.rad, 1)
     size = best = 0
     for m in packings:
         k = m.bit_count()
@@ -456,7 +486,7 @@ def _pick(balls: BallMasks, packings: list[int], top: int) -> tuple[int, int]:
             continue
         if fits_balls(balls, m):
             size, best = k, m
-    return size, best
+    return best
 
 
 def solve_detailed(g: Graph, algo: str) -> tuple[int, tuple[int, ...], int]:

@@ -63,7 +63,9 @@ def test_solve_rejects_oversized_header(tmp_path, capsys):
 
 def test_solve_refuses_a_family_above_the_budget(tmp_path, capsys, monkeypatch):
     """The first n = 50 tree after four at n = 30 and four at n = 40 from
-    random.Random(5), with the budget cut to 10^5 so the refusal comes fast."""
+    random.Random(5), with the budget cut to 10^5 so the refusal comes fast.
+    The prefix search needs 5 840 children to answer it, so the solve builds."""
+    assert solver.PREFIX_BUDGET < 5840
     rng = random.Random(5)
     for n in (30,) * 4 + (40,) * 4:
         random_tree(n, rng)

@@ -4,7 +4,8 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from conftest import classify_subtree, cycle, path, star, tree_catalog
+import multipacking.solver as solver_module
+from conftest import classify_subtree, complete, cycle, path, star, tree_catalog
 from multipacking.graph import (
     Graph,
     all_pairs,
@@ -22,6 +23,7 @@ from multipacking.pathcount import count_all_path
 from multipacking.randgen import random_connected_graph, random_tree
 from multipacking.rooted_tree import RootedTree, bfs_tree, deepest_vertices
 from multipacking.solver import (
+    PREFIX_BUDGET,
     ball_masks,
     candidate_family,
     candidate_family_162,
@@ -38,7 +40,11 @@ from multipacking.solver import (
     split_158,
     split_162,
 )
+from test_acceptance import random_graph_batch
 from test_rooted_tree import chain, spider
+
+# The prefix search off, at one child, and at its default.
+BUDGETS = (0, 1, PREFIX_BUDGET)
 
 
 def test_enumerate_h1_counts():
@@ -419,7 +425,7 @@ def _scan_solve(g: Graph, split) -> tuple[int, tuple[int, ...], int]:
     return total, tuple(sorted(witness)), family_total
 
 
-def test_pick_equals_the_definitional_scan():
+def test_pick_equals_the_definitional_scan(monkeypatch):
     rng = random.Random(83)
     graphs = [random_tree(rng.randint(16, 24), rng) for _ in range(12)]
     graphs += [random_connected_graph(rng.randint(2, 20), rng, rng.choice((0.3, 0.05, 0.1))) for _ in range(40)]
@@ -431,13 +437,16 @@ def test_pick_equals_the_definitional_scan():
         assert solve_detailed(g, "a158")[0] < ball_masks(g).rad
     for g in graphs + low:
         for algo, split in (("a158", split_158), ("a162", split_162)):
-            assert solve_detailed(g, algo) == _scan_solve(g, split), (algo, g.adj)
+            expected = _scan_solve(g, split)
+            for budget in BUDGETS:
+                monkeypatch.setattr(solver_module, "PREFIX_BUDGET", budget)
+                assert solve_detailed(g, algo) == expected, (budget, algo, g.adj)
 
 
-def test_size_floor_keeps_every_large_set_and_the_answer():
+def test_size_floor_keeps_every_large_set_and_the_answer(monkeypatch):
     """At every floor f from 0 to max(rad, 1) + 1, the root list is the
     floor-0 list's sets of at least f members, in the same order, and the
-    two-round solve equals the floor-0 scan."""
+    solve equals the floor-0 scan at every prefix budget of ``BUDGETS``."""
     rng = random.Random(89)
     graphs = [random_tree(rng.randint(1, 22), rng) for _ in range(24)]
     graphs += [random_connected_graph(rng.randint(1, 18), rng, rng.choice((0.3, 0.1, 0.05))) for _ in range(24)]
@@ -453,7 +462,10 @@ def test_size_floor_keeps_every_large_set_and_the_answer():
                 kept, kept_count = family_packings(t, split, balls.near, f)
                 assert kept_count == count
                 assert kept == [m for m in whole if m.bit_count() >= f], (algo, f, g.adj)
-            assert solve_detailed(g, algo) == _scan_solve(g, split), (algo, g.adj)
+            expected = _scan_solve(g, split)
+            for budget in BUDGETS:
+                monkeypatch.setattr(solver_module, "PREFIX_BUDGET", budget)
+                assert solve_detailed(g, algo) == expected, (budget, algo, g.adj)
 
 
 @pytest.mark.parametrize("n, edges, mp, family_158, family_162", [
@@ -481,11 +493,11 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     """P_12 under split_162: 377 candidate sets, of which the kernel keeps
     129, its longest list, and P_12 has c_12 = 129 multipackings. A budget
     of 129 admits the solve; 128 refuses it by the shortest-path bound. The
-    12-leaf star keeps its whole family of 14 sets in one list at floor 0;
-    its solve builds at floor rad = 1, which drops the empty set, so a
-    budget of 13 admits it and 12 refuses it at that list."""
-    import multipacking.solver as solver_module
-
+    12-leaf star keeps its whole family of 14 sets in one list at floor 0.
+    The prefix search answers the star at its first set, so it is turned
+    off: the solve then builds at floor ceil((diam + 1) / 3) = 1, which
+    drops the empty set, so a budget of 13 admits it and 12 refuses it at
+    that list."""
     g = path(12)
     t = bfs_tree(g, 0)
     kept = len(family_packings(t, split_162, ball_masks(g).near)[0])
@@ -498,6 +510,7 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     g = star(12)
     t = bfs_tree(g, 0)
     assert family_count(t, split_162) == len(family_packings(t, split_162, ball_masks(g).near)[0]) == 14
+    monkeypatch.setattr(solver_module, "PREFIX_BUDGET", 0)
     monkeypatch.setattr(solver_module, "MAX_FAMILY", 13)
     assert solve_detailed(g, "a162") == (1, (0,), 14)
     monkeypatch.setattr(solver_module, "MAX_FAMILY", 12)
@@ -505,11 +518,56 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
         solve_detailed(g, "a162")
 
 
+def test_prefix_off_equals_brute_force(monkeypatch, trees_up_to_9):
+    """Criterion 1's inputs with the prefix search off, so every answer comes
+    from the one build; criterion 1 runs them at the default budget, where
+    most answers come from the prefix."""
+    monkeypatch.setattr(solver_module, "PREFIX_BUDGET", 0)
+    for g in trees_up_to_9 + random_graph_batch():
+        expected = brute_force_mp(g)
+        assert max_multipacking_158(g) == expected, g.adj
+        assert max_multipacking_162(g) == expected, g.adj
+
+
+def test_prefix_answers_at_the_upper_bound_without_a_build(monkeypatch):
+    """The 12-leaf star, P_3 and K_5 (rad 1) and a seeded tree with
+    MP = rad: the prefix reaches max(rad, 1) members, so no list is built,
+    and the family size still comes from the plan pass."""
+    rng = random.Random(7)
+    tree = random_tree(13, rng)
+    assert brute_force_mp(tree)[0] == ball_masks(tree).rad == 4
+
+    def fail(*args):
+        raise AssertionError("built a list")
+
+    monkeypatch.setattr(solver_module, "_build", fail)
+    for g in (star(12), path(3), complete(5), tree):
+        for algo, split in (("a158", split_158), ("a162", split_162)):
+            assert solve_detailed(g, algo) == brute_force_mp(g) + (family_count(bfs_tree(g, 0), split),)
+
+
+def test_one_build_when_the_prefix_stops_short(monkeypatch):
+    """C_7, P_9 and K_{3,3} have MP < rad, so the prefix never reaches
+    rad members.  Within the default budget it runs out of sets and answers
+    alone; at budgets 0 and 1 it stops short, and the solve builds once."""
+    calls = []
+    build = solver_module._build
+    monkeypatch.setattr(solver_module, "_build", lambda *args: calls.append(args) or build(*args))
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    for g in (cycle(7), path(9), k33):
+        expected = brute_force_mp(g)
+        assert expected[0] < ball_masks(g).rad
+        for budget, builds in ((0, 1), (1, 1), (PREFIX_BUDGET, 0)):
+            monkeypatch.setattr(solver_module, "PREFIX_BUDGET", budget)
+            for algo in ("a158", "a162"):
+                calls.clear()
+                assert solve_detailed(g, algo)[:2] == expected
+                assert len(calls) == builds, (budget, algo, g.adj)
+
+
 def test_shortest_path_refusal_builds_no_ball_or_tree(monkeypatch):
     """With the budget at 129 = c_12, P_12 still solves, and P_13
     (c_13 = 189) is refused before ``ball_masks`` or ``bfs_tree`` runs."""
-    import multipacking.solver as solver_module
-
     monkeypatch.setattr(solver_module, "MAX_FAMILY", 129)
     assert solve_detailed(path(12), "a162") == (4, (0, 3, 6, 9), 377)
 
