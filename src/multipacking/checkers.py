@@ -7,17 +7,28 @@ neighbour sets and the claw search neighbour bitmasks.  Hyperbolicity is
 computed in exact half-integers from distances found by bitmask BFS inside
 each biconnected block, never from all n² distances of the graph, by a scan
 over far-apart pairs in order of decreasing distance that stops once no
-remaining pair can raise the best value.
+remaining pair can raise the best value.  Each pair meets every far-apart
+pair in a few operations on packed integers, one field per pair, sized so
+that no carry or borrow crosses a field; a block whose table or packed
+columns would pass MAX_BLOCK_CELLS is refused before they are allocated.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from collections import deque
 from fractions import Fraction
 from typing import Optional
 
 from .graph import Graph, biconnected_blocks, is_connected, members
+
+# Most cells one hyperbolicity block may take: its |B|² distance table and
+# its packed columns (far-apart pairs × |B| fields) are each checked against
+# it before they are allocated.  It keeps |B| <= 4096, so 'H' fields hold
+# twice any distance below their guard bit.
+MAX_BLOCK_CELLS = 1 << 24
 
 
 def lexbfs_order(g: Graph) -> list[int]:
@@ -176,6 +187,14 @@ def regularity(g: Graph) -> Optional[int]:
     return degs.pop() if len(degs) == 1 else None
 
 
+def _columns(rows: list[array]) -> list[int]:
+    """Column w of the stacked rows, one field per row in row order, packed
+    into one int for each w."""
+    n = len(rows[0])
+    stack = memoryview(b"".join(rows)).cast(rows[0].typecode)
+    return [int.from_bytes(stack[w::n], sys.byteorder) for w in range(n)]
+
+
 def hyperbolicity(g: Graph) -> Fraction:
     """Exact Gromov hyperbolicity by the four-point condition, block by block.
 
@@ -184,8 +203,12 @@ def hyperbolicity(g: Graph) -> Fraction:
     value is the maximum over its biconnected blocks, each an isometric
     subgraph, so each block with >= 4 vertices is scanned alone on distances
     found by BFS inside it (Σ |B|² distances, not n²), with one best value
-    carried across blocks; a clique block is 0-hyperbolic and skipped.  The
-    scan follows Cohen, Coudert and Lancin ("On computing the Gromov
+    carried across blocks; a clique block is 0-hyperbolic and skipped.  A
+    block whose table of |B|² cells, or whose packed columns below (far-apart
+    pairs × |B| fields), would pass MAX_BLOCK_CELLS raises ValueError before
+    it is allocated; the pair list stops one past MAX_BLOCK_CELLS // |B|
+    pairs, so a dense block is refused before it lists all of its pairs.
+    The scan follows Cohen, Coudert and Lancin ("On computing the Gromov
     hyperbolicity"):
 
     - Bound.  If {u,v}, {x,y} is the max-sum pairing, then
@@ -198,9 +221,36 @@ def hyperbolicity(g: Graph) -> Fraction:
       optimal 4-set has both of its max-sum pairs far apart.
 
     So the scan keeps only far-apart pairs, sorted by decreasing distance,
-    and combines each with every earlier one; it stops at the first pair
-    whose distance is at most the best S1 - S2 so far, which no later pair
-    can lift.  The maximum is returned as an exact half-integer.
+    and combines each pair {u,v} at distance e with the pairs {x_i,y_i} at
+    distances d_i: d_i + e - max(d(u,x_i) + d(v,y_i), d(v,x_i) + d(u,y_i))
+    is S1 - S2 of that 4-set if {u,v}, {x_i,y_i} is its max-sum pairing,
+    else <= 0.  It stops at the first pair with e <= tb, the best twice-value
+    so far: by the bound, no combine with that pair or a later one passes e.
+    The maximum is returned as an exact half-integer.
+
+    The combine is packed (SWAR: SIMD within a register).  One Python int
+    holds one field per far-apart pair, so one integer operation tests all
+    pairs i at once.  Fields are 8 bits if ecc(0) <= 31 (diam <= 2·ecc(0)
+    <= 62), else 16 (the budget keeps |B| <= 4096), so 2·diam stays below
+    each field's top bit G.  X[w] packs d(w, x_i) and Y[w] packs d(w, y_i):
+    strided columns of the pairs' stacked distance rows.  dpg packs d_i | G
+    and one packs a 1 per field.  For {u,v}, sa = X[u] + Y[v] and
+    sb = X[v] + Y[u], and lim = dpg + (e - tb - 1)·one has fields
+    G + d_i + e - tb - 1.  Combine i beats tb iff sa_i and sb_i are both at
+    most d_i + e - tb - 1, i.e. iff field i of both lim - sa and lim - sb
+    keeps G; while one does, tb rises by one and lim drops by one.  No
+    carry or borrow crosses a field: tb < e on entry, and tb rises only to
+    a value some combine reaches, at most e by the bound; so
+    0 <= d_i - 1 <= d_i + e - tb - 1 < 2·diam < G, sa_i and sb_i are at most
+    2·diam, and each field of lim - sa and lim - sb lies in (0, 2G).
+
+    Every field is tested, not only those of earlier pairs.  A combine with
+    a later pair (or with {u,v} itself) is still S1 - S2 of four vertices of
+    the block, or at most 0, so it never lifts tb past the block's value,
+    and the stop stays sound: each combine it skips involves a pair no
+    longer than tb.  The result is the same; the stop can only fire sooner,
+    as on two cliques sharing an edge, where the pair that lifts tb sorts
+    last.
     """
     if not is_connected(g):
         raise ValueError("hyperbolicity requires a connected graph")
@@ -210,10 +260,15 @@ def hyperbolicity(g: Graph) -> Fraction:
         if n < 4:
             continue
         pos = {v: i for i, v in enumerate(block)}
-        nbrs = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in block]
-        if all(mask.bit_count() == n - 1 for mask in nbrs):
+        if all(sum(w in pos for w in g.adj[v]) == n - 1 for v in block):
             continue
-        dist: list[list[int]] = []
+        if n * n > MAX_BLOCK_CELLS:
+            raise ValueError(
+                f"hyperbolicity: a block of {n} vertices needs {n * n} distance cells, "
+                f"above the budget of {MAX_BLOCK_CELLS}"
+            )
+        nbrs = [sum(1 << pos[w] for w in g.adj[v] if w in pos) for v in block]
+        dist: list[array] = []
         ends: list[int] = []  # ends[s]: the vertices with no neighbour farther from s
         for s in range(n):
             row = [0] * n
@@ -229,22 +284,31 @@ def hyperbolicity(g: Graph) -> Fraction:
                 end |= prev & ~reach
                 prev, layer, k = layer, reach & ~seen, k + 1
                 seen |= layer
-            dist.append(row)
+            if not s:  # k = ecc(0) + 1, and diam <= 2·ecc(0)
+                code = "B" if k <= 32 else "H"
+            dist.append(array(code, row))
             ends.append(end | prev)
-        pairs = sorted(  # the far-apart pairs u < v
-            ((dist[u][v], u, v) for u in range(n) for v in members(ends[u] & -(2 << u)) if ends[v] >> u & 1),
-            reverse=True,
-        )
-        for i, (d, x, y) in enumerate(pairs):
-            if d <= twice_best:
+        far = ((dist[u][v], u, v) for u in range(n) for v in members(ends[u] & -(2 << u)) if ends[v] >> u & 1)
+        limit = MAX_BLOCK_CELLS // n  # the far-apart pairs u < v the packed columns may hold
+        pairs = list(itertools.islice(far, limit + 1))
+        if len(pairs) > limit:
+            raise ValueError(
+                f"hyperbolicity: a block of {n} vertices has over {limit} far-apart pairs, "
+                f"above the budget of {MAX_BLOCK_CELLS} packed cells"
+            )
+        pairs.sort(reverse=True)
+        X = _columns([dist[x] for _, x, _ in pairs])
+        Y = _columns([dist[y] for _, _, y in pairs])
+        one = int.from_bytes(array(code, [1]) * len(pairs), sys.byteorder)
+        guard = one << (8 * dist[0].itemsize - 1)
+        dpg = int.from_bytes(array(code, [d for d, _, _ in pairs]), sys.byteorder) | guard
+        for e, u, v in pairs:
+            if e <= twice_best:
                 break
-            dx, dy = dist[x], dist[y]
-            for e, u, v in itertools.islice(pairs, i):
-                # d + e - s2 is S1 - S2 if {x,y}, {u,v} is the max-sum pairing, else <= 0
-                s2 = dx[u] + dy[v]
-                s3 = dx[v] + dy[u]
-                if s3 > s2:
-                    s2 = s3
-                if d + e - s2 > twice_best:
-                    twice_best = d + e - s2
+            sa = X[u] + Y[v]
+            sb = X[v] + Y[u]
+            lim = dpg + (e - twice_best - 1) * one
+            while (lim - sa) & (lim - sb) & guard:
+                twice_best += 1
+                lim -= one
     return Fraction(twice_best, 2)

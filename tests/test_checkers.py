@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from conftest import complete, cycle, path, star
+from multipacking import checkers
 from multipacking.checkers import (
     _verify_peo,
     hyperbolicity,
@@ -17,7 +18,7 @@ from multipacking.checkers import (
     lexbfs_order,
     regularity,
 )
-from multipacking.graph import Graph, all_pairs, biconnected_blocks, is_connected
+from multipacking.graph import Graph, all_pairs, bfs_distances, biconnected_blocks, is_connected
 from multipacking.randgen import (
     random_connected_chordal,
     random_connected_graph,
@@ -504,7 +505,9 @@ def test_hyperbolicity_is_exact_on_the_atlas_and_on_families():
     atlas graph with n >= 4 and on families whose far-apart pairs and stop
     differ: ladders and grids (few far-apart pairs), cycles, wheels, cliques
     (skipped), a clique less an edge, two cliques on an edge (every pair at
-    distance 1 far apart), and cycles with spokes or twins."""
+    distance 1 far apart), and cycles with spokes or twins.  The unpacked
+    pair scan, the referee of the larger packed-combine tests below, agrees
+    on all of them."""
     graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
     graphs = [g for g in graphs if g.n >= 4 and is_connected(g)]
     assert len(graphs) > 800
@@ -519,11 +522,18 @@ def test_hyperbolicity_is_exact_on_the_atlas_and_on_families():
     graphs += [twinned_cycle(n, t) for n in range(4, 13) for t in (1, 3, 6)]
     for g in graphs:
         assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == reference_hyperbolicity(g), g.adj
+        assert unpacked_hyperbolicity(g) == hyperbolicity(g), g.adj
 
 
 @pytest.mark.parametrize(
     "g, delta, seconds",
-    [(cycle(1000), 250, 2), (grid(30, 30), 29, 2), (twinned_cycle(12, 100), 3, 0.5), (spoked_cycle(300, 15), 4, 0.5)],
+    [
+        (cycle(1000), 250, 2),
+        (grid(30, 30), 29, 2),
+        (twinned_cycle(12, 100), 3, 0.5),
+        (spoked_cycle(300, 15), 4, 0.5),
+        (cliques_on_an_edge(60), Fraction(1, 2), 1),
+    ],
 )
 def test_hyperbolicity_stops_at_far_apart_pairs(g, delta, seconds):
     """Each graph is one block.  A scan over four-sets would visit about 4e10
@@ -532,7 +542,10 @@ def test_hyperbolicity_stops_at_far_apart_pairs(g, delta, seconds):
     the stop skips them; in the spoked cycle the hub sees the far side of
     every segment as far from it, but not the other way round, so only the
     two-sided test keeps those pairs out.  Either scan without its
-    restriction takes over a second on the last two."""
+    restriction takes over a second on those two.  Two K60 sharing an edge
+    have 3 365 far-apart pairs and the pair that lifts the best value sorts
+    last: one Python step per pair of pairs took 2.6 s, the packed combine
+    takes about 0.1 s."""
     start = time.perf_counter()
     assert hyperbolicity(g) == delta
     assert time.perf_counter() - start < seconds
@@ -593,3 +606,124 @@ def test_chordless_cycle_takes_one_search(fan):
     assert time.perf_counter() - start < 0.5
     assert not ok and check_chordless_cycle(g, witness)
     assert sorted(witness) == [4000, 4001, 4002, 4003]
+
+
+def far_apart_pairs(g: Graph) -> list[tuple[int, int, int]]:
+    """(d(u,v), u, v) for the far-apart pairs u < v of the whole graph, by
+    decreasing distance: no neighbour of either end is farther from the other."""
+    D = all_pairs(g)
+    return sorted(
+        (
+            (D[u][v], u, v)
+            for u, v in itertools.combinations(range(g.n), 2)
+            if all(D[u][w] <= D[u][v] for w in g.adj[v]) and all(D[v][w] <= D[u][v] for w in g.adj[u])
+        ),
+        reverse=True,
+    )
+
+
+def unpacked_hyperbolicity(g: Graph) -> Fraction:
+    """Reference far-apart pair scan on the whole graph's distance table, one
+    Python step per pair of pairs: each pair is combined with every earlier
+    one, and the scan stops at the first pair no longer than twice the best."""
+    D = all_pairs(g)
+    pairs = far_apart_pairs(g)
+    twice_best = 0
+    for i, (d, x, y) in enumerate(pairs):
+        if d <= twice_best:
+            break
+        for e, u, v in pairs[:i]:
+            twice_best = max(twice_best, d + e - max(D[x][u] + D[y][v], D[x][v] + D[y][u]))
+    return Fraction(twice_best, 2)
+
+
+def cycle_with_chord_paths(n: int, chords: list[tuple[int, int, int]]) -> Graph:
+    """C_n plus, for each (a, b, length), a path of ``length`` edges from
+    cycle vertex a to cycle vertex b through new vertices."""
+    edges, top = [(i, (i + 1) % n) for i in range(n)], n
+    for a, b, length in chords:
+        chain = [a] + list(range(top, top + length - 1)) + [b]
+        edges += zip(chain, chain[1:])
+        top += length - 1
+    return Graph.from_edges(top, edges)
+
+
+def test_packed_combine_on_sixteen_bit_fields():
+    """Blocks whose vertex 0 has eccentricity above 31, so the combine packs
+    16-bit fields: C_n, 120 <= n < 160, with one to three chord paths, against the
+    unpacked scan; C_66 and C_64 with a longer detour (69 vertices) against
+    the scan over all four-sets, which is affordable there; and a ladder and
+    a grid of diameter 70 and 68, where twice the diameter passes 127, so
+    one-byte fields would carry into their neighbours (both then read 0)."""
+    rng = random.Random(32)
+    for n in range(120, 160):
+        chords = [(*rng.sample(range(n), 2), rng.randint(2, n // 2)) for _ in range(rng.randint(1, 3))]
+        g = cycle_with_chord_paths(n, chords)
+        assert max(bfs_distances(g, 0)) > 31
+        assert hyperbolicity(g) == unpacked_hyperbolicity(g), (n, chords)
+    for g in (cycle(66), cycle_with_chord_paths(64, [(10, 14, 6)])):
+        assert max(bfs_distances(g, 0)) > 31
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == unpacked_hyperbolicity(g)
+    for g, delta in ((ladder(70), 1), (grid(3, 67), 2)):
+        assert hyperbolicity(g) == unpacked_hyperbolicity(g) == delta
+
+
+def test_packed_combine_on_dense_blocks():
+    """Two cliques sharing an edge (every pair far apart but those with one
+    end on the shared edge, and the pair that lifts the best value sorts
+    last) and wheels, against the scans over all four-sets and, larger,
+    against their family's value 1/2."""
+    for m in range(3, 12):
+        g = cliques_on_an_edge(m)
+        assert len(far_apart_pairs(g)) == (m - 2) * (m - 3) + (m - 2) ** 2 + 1
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == unpacked_hyperbolicity(g) == Fraction(1, 2)
+    for k in range(5, 16):
+        g = wheel(k)
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == unpacked_hyperbolicity(g) == Fraction(1, 2)
+    for g in (cliques_on_an_edge(30), cliques_on_an_edge(40), wheel(64), wheel(100)):
+        assert hyperbolicity(g) == Fraction(1, 2)
+
+
+def test_packed_combine_with_exactly_two_far_apart_pairs():
+    """Biconnected atlas graphs with exactly two far-apart pairs (C4 and K4
+    less an edge among them): the packed integers hold two fields."""
+    graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+    graphs = [g for g in graphs if g.n >= 4 and biconnected_blocks(g) == [list(range(g.n))]]
+    two = [g for g in graphs if len(far_apart_pairs(g)) == 2]
+    assert len(two) > 2
+    two += [cycle(4), complete_minus_edge(4)]
+    for g in two:
+        assert len(far_apart_pairs(g)) == 2
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g) == reference_hyperbolicity(g), g.adj
+
+
+@pytest.mark.parametrize("g", [cycle(8), cycle(130), ladder(6), grid(5, 7)], ids=["C8", "C130", "ladder6", "grid5x7"])
+def test_packed_combine_lifts_the_best_by_more_than_one(g):
+    """The first combine of the unpacked scan (its second pair with its
+    first) already lifts twice the best value past 1, so the packed loop
+    raises it several times for one pair."""
+    D = all_pairs(g)
+    (d, x, y), (e, u, v) = far_apart_pairs(g)[:2]
+    assert d + e - max(D[x][u] + D[y][v], D[x][v] + D[y][u]) > 1
+    assert hyperbolicity(g) == unpacked_hyperbolicity(g)
+    if g.n <= 40:
+        assert hyperbolicity(g) == whole_graph_hyperbolicity(g)
+
+
+def test_hyperbolicity_refuses_a_block_above_the_cell_budget(monkeypatch):
+    """The budget is checked per block, before its distance table and before
+    its packed columns: with it cut to 144 cells, C_12 (144 cells) and two
+    C_12 joined by a path are scanned, C_13 is refused by name, and a clique
+    block is still skipped at any size.  Two K8 sharing an edge (14
+    vertices, 67 far-apart pairs) fit a budget of 900 cells with their table
+    of 196 but not with their 938 packed cells: the pair list is cut off once
+    it passes 900 // 14 = 64 pairs, before it is sorted or packed."""
+    monkeypatch.setattr(checkers, "MAX_BLOCK_CELLS", 144)
+    assert hyperbolicity(cycle(12)) == 3
+    assert hyperbolicity(two_cycles(12, 12, link=2)) == 3
+    with pytest.raises(ValueError, match="a block of 13 vertices needs 169 distance cells"):
+        hyperbolicity(cycle(13))
+    assert hyperbolicity(complete(20)) == 0
+    monkeypatch.setattr(checkers, "MAX_BLOCK_CELLS", 900)
+    with pytest.raises(ValueError, match="a block of 14 vertices has over 64 far-apart pairs"):
+        hyperbolicity(cliques_on_an_edge(8))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import cycle, path
-from multipacking import cli, solver
+from multipacking import checkers, cli, solver
 from multipacking.cli import build_parser, main
 from multipacking.formats import MAX_VERTICES, serialize_graph, serialize_vertex_set
 from multipacking.graph import Graph
@@ -275,6 +275,18 @@ def c5_chain(links: int) -> Graph:
         ring = list(range(4 * i, 4 * i + 5))
         edges += [(ring[j], ring[(j + 1) % 5]) for j in range(5)]
     return Graph.from_edges(4 * links + 1, edges)
+
+
+def test_check_hyperbolicity_refuses_a_block_above_the_budget(tmp_path, capsys, monkeypatch):
+    """With the cell budget cut to 100, C_11's block of 121 cells is refused
+    with one stderr line that names its size, before its table is built."""
+    monkeypatch.setattr(checkers, "MAX_BLOCK_CELLS", 100)
+    f = tmp_path / "c11.graph"
+    f.write_text(serialize_graph(cycle(11)))
+    assert main(["check", str(f), "--props", "hyperbolicity"]) == 3
+    assert capsys.readouterr().err == (
+        "input error: hyperbolicity: a block of 11 vertices needs 121 distance cells, above the budget of 100\n"
+    )
 
 
 @pytest.mark.parametrize("g, delta", [(path(1000), "0"), (c5_chain(50), "1/2")])
