@@ -21,8 +21,10 @@ drops every set that cannot grow into a root set of that many members.
 Before it builds, the solve walks the multipackings in lexicographic order
 for at most ``PREFIX_BUDGET`` children; the walk answers when it reaches
 max(rad, 1) members, an upper bound on MP, or runs out of sets.  Otherwise
-the solve builds once, at a lower bound on MP (the proofs are in
-``family_packings`` and ``_solve_component``).  The witness pick is one pass over
+the solve builds once, at a lower bound on MP that a greedy multipacking of
+the most eccentric vertices raises, and one above it when the walk already
+holds a set of that size (the proofs are in ``family_packings`` and
+``_solve_component``).  The witness pick is one pass over
 the survivors that skips sets above rad and sets that cannot beat the best so
 far, and calls ``fits_balls`` on the rest: the kernel already settled radius
 1, so it counts members only at radii 2..rad-1, in one radius-ordered tuple
@@ -338,14 +340,15 @@ def family_packings(
 class BallMasks(NamedTuple):
     """The balls of a connected graph that decide whether a set is a multipacking.
 
-    Vertex sets are int bitmasks (bit v for vertex v).  ``rad`` and ``diam``
-    are the graph's radius and diameter.  ``near[u]`` is N_2[u] without u.
+    Vertex sets are int bitmasks (bit v for vertex v).  ``rad`` is the
+    graph's radius and ``ecc[v]`` the eccentricity of v, so the diameter is
+    max(ecc).  ``near[u]`` is N_2[u] without u.
     ``maximal`` holds the (r, ball) pairs with 2 <= r < rad, in descending
     r, whose ball N_r[v] is inclusion-maximal among the balls of radius r.
     """
 
     rad: int
-    diam: int
+    ecc: tuple[int, ...]
     near: tuple[int, ...]
     maximal: tuple[tuple[int, int], ...]
 
@@ -353,7 +356,8 @@ class BallMasks(NamedTuple):
 def ball_masks(g: Graph) -> BallMasks:
     """Ball bitmasks of the connected graph g, read off ``ball_rows``."""
     rows = ball_rows(g)
-    rad = min(len(row) for row in rows) - 1
+    ecc = tuple(len(row) - 1 for row in rows)
+    rad = min(ecc)
     # N_2[u] is everything when ecc(u) < 2, so the last row entry stands in.
     near = tuple(row[min(2, len(row) - 1)] & ~(1 << u) for u, row in enumerate(rows))
     maximal: list[tuple[int, int]] = []
@@ -370,7 +374,7 @@ def ball_masks(g: Graph) -> BallMasks:
             else:
                 kept.append(b)
         maximal += ((r, b) for b in kept)
-    return BallMasks(rad, max(len(row) for row in rows) - 1, near, tuple(maximal))
+    return BallMasks(rad, ecc, near, tuple(maximal))
 
 
 def fits_balls(balls: BallMasks, mask: int) -> bool:
@@ -428,10 +432,20 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
       pick's.
     - Otherwise its best set L is a multipacking, and so is every third
       vertex of a diametral path, a shortest path of diam + 1 vertices
-      (every multipacking of a shortest path is one of g).  So the floor
-      max(ceil((diam + 1) / 3), |L|) is at most MP, the one build at that
-      floor keeps every set of size MP, and the pick returns the (MP,
-      witness) of the floor-0 list.
+      (every multipacking of a shortest path is one of g), and so is the
+      greedy's set G (``_greedy``): it has no two members within distance
+      2 and at most top members, where ``fits_balls`` is exact.  So the
+      floor max(ceil((diam + 1) / 3), |L|, |G|) is at most MP, a build at
+      that floor keeps every set of size MP, and the pick returns the
+      (MP, witness) of the floor-0 list.
+    - The lift: when |L| equals the floor, the build runs at floor + 1
+      instead (floor + 1 <= top, since the walk stopped short of top).  If
+      some set of at least floor + 1 members fits, MP >= floor + 1, the
+      build keeps every set of size MP, and the pick is the floor-0 one as
+      above.  If none fits, the pick is 0 and MP = floor = |L|; the walk
+      visits multipackings in lexicographic order and keeps the first of
+      each new size, so L is the lexicographically smallest multipacking
+      of size MP, the floor-0 pick.
     """
     h = max(bfs_distances(g, 0))
     a, b, c = 1, 1, 1  # c_{-2}, c_{-1}, c_0
@@ -452,8 +466,9 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
             cur ^= 1 << v
         elif not balls.near[v] & cur:
             if not left:
-                floor = max((balls.diam + 3) // 3, best.bit_count())
-                best = _pick(balls, _build(t.alive, plan, balls.near, floor))
+                floor = max((max(balls.ecc) + 3) // 3, best.bit_count(), _greedy(balls, top))
+                lift = best.bit_count() == floor
+                best = _pick(balls, _build(t.alive, plan, balls.near, floor + lift)) or best
                 break
             left -= 1
             if fits_balls(balls, cur | 1 << v):
@@ -465,11 +480,27 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
     return best.bit_count(), tuple(members(best)), plan[0]
 
 
+def _greedy(balls: BallMasks, top: int) -> int:
+    """The size of a multipacking of at most ``top`` members: the vertices in
+    descending eccentricity, ties by id, each kept if it is not near a kept
+    one and ``fits_balls`` accepts the set with it.  ``fits_balls`` is exact
+    only up to top = max(rad, 1) members, so the greedy stops there."""
+    cur = size = 0
+    for v in sorted(range(len(balls.ecc)), key=lambda v: -balls.ecc[v]):
+        if size == top:
+            break
+        if not balls.near[v] & cur and fits_balls(balls, cur | 1 << v):
+            cur |= 1 << v
+            size += 1
+    return size
+
+
 def _pick(balls: BallMasks, packings: list[int]) -> int:
     """The largest set of ``packings`` that fits ``balls``, the
-    lexicographically smallest member tuple among equals; 0 if none fits.
-    ``packings`` holds the kernel's sets, with no two members within
-    distance 2, and a set above top = max(rad, 1) cannot fit."""
+    lexicographically smallest member tuple among equals; 0 if none fits,
+    which the solve's lifted build reads as "MP is the floor".  ``packings``
+    holds the kernel's sets, with no two members within distance 2, and a
+    set above top = max(rad, 1) cannot fit."""
     top = max(balls.rad, 1)
     size = best = 0
     for m in packings:

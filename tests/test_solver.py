@@ -426,21 +426,37 @@ def _scan_solve(g: Graph, split) -> tuple[int, tuple[int, ...], int]:
 
 
 def test_pick_equals_the_definitional_scan(monkeypatch):
+    """The solve equals the scan at every prefix budget, where budgets 2, 5
+    and 10 stop the walk after it has found some sets.  Every build floor is
+    at most MP + 1, and some build runs at MP + 1: a walk that holds a set of
+    the floor's size builds one above it and answers with that set when no
+    larger one fits."""
     rng = random.Random(83)
     graphs = [random_tree(rng.randint(16, 24), rng) for _ in range(12)]
     graphs += [random_connected_graph(rng.randint(2, 20), rng, rng.choice((0.3, 0.05, 0.1))) for _ in range(40)]
     # No kernel set of a path or a cycle reaches rad.
     graphs += [path(n) for n in range(1, 31)] + [cycle(n) for n in range(3, 31)]
+    # A spider with rad = MP = 2 whose greedy, run past rad members, takes
+    # 3, 5 and 4, a set that ``fits_balls`` accepts but is no multipacking.
+    graphs.append(Graph.from_edges(6, [(0, 1), (1, 3), (0, 2), (2, 5), (0, 4)]))
     # Graphs whose largest multipacking is smaller than rad.
     low = [cycle(7), path(9), Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])]
     for g in low:
         assert solve_detailed(g, "a158")[0] < ball_masks(g).rad
+    floors = []
+    build = solver_module._build
+    monkeypatch.setattr(solver_module, "_build", lambda *args: floors.append(args[3]) or build(*args))
+    lifted = 0
     for g in graphs + low:
         for algo, split in (("a158", split_158), ("a162", split_162)):
             expected = _scan_solve(g, split)
-            for budget in BUDGETS:
+            for budget in BUDGETS + (2, 5, 10):
                 monkeypatch.setattr(solver_module, "PREFIX_BUDGET", budget)
+                floors.clear()
                 assert solve_detailed(g, algo) == expected, (budget, algo, g.adj)
+                assert all(f <= expected[0] + 1 for f in floors), (floors, budget, algo, g.adj)
+                lifted += expected[0] + 1 in floors
+    assert lifted
 
 
 def test_size_floor_keeps_every_large_set_and_the_answer(monkeypatch):
@@ -454,7 +470,7 @@ def test_size_floor_keeps_every_large_set_and_the_answer(monkeypatch):
     graphs += [star(k) for k in range(1, 8)]
     for g in graphs:
         balls = ball_masks(g)
-        assert balls.diam == max(max(row) for row in all_pairs(g))
+        assert balls.ecc == tuple(max(row) for row in all_pairs(g))
         t = bfs_tree(g, 0)
         for algo, split in (("a158", split_158), ("a162", split_162)):
             whole, count = family_packings(t, split, balls.near)
@@ -563,6 +579,23 @@ def test_one_build_when_the_prefix_stops_short(monkeypatch):
                 calls.clear()
                 assert solve_detailed(g, algo)[:2] == expected
                 assert len(calls) == builds, (budget, algo, g.adj)
+
+
+def test_greedy_floor_builds_at_rad_on_a_forty_vertex_tree(monkeypatch):
+    """The first n = 40 tree after four at n = 30 from random.Random(5) has
+    MP = rad = 10, and the walk stops short of it at the default budget.
+    The greedy reaches 10 members, so the one build runs at floor 10, where
+    the walk's best set alone gave floor 8 and lists 2-3x as long."""
+    rng = random.Random(5)
+    for _ in range(4):
+        random_tree(30, rng)
+    g = random_tree(40, rng)
+    assert ball_masks(g).rad == 10
+    floors = []
+    build = solver_module._build
+    monkeypatch.setattr(solver_module, "_build", lambda *args: floors.append(args[3]) or build(*args))
+    assert solve_detailed(g, "a158")[:2] == brute_force_mp(g, cap=40)
+    assert floors == [10]
 
 
 def test_shortest_path_refusal_builds_no_ball_or_tree(monkeypatch):
