@@ -65,6 +65,9 @@ MAX_FAMILY = 10**7
 # 0.69 ms with no prefix and two rounds of builds; 0.53 ms at 50 (-23 %,
 # 230 of 400 answered), 0.56 ms at 20 and at 100, 0.58 ms at 200 (-16 %),
 # and 0.84 ms at 1 000 (+22 %).
+# With the greedy floor, the benchmark's seed-1 ``trees`` runs (two
+# alternating 40 s rounds) still favour 50: ``op_ms_p90`` 1.537-1.565 ms
+# at 20, 1.459-1.480 ms at 50 and 1.546-1.590 ms at 100.
 PREFIX_BUDGET = 50
 
 
