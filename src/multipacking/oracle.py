@@ -184,23 +184,21 @@ def is_total_dominating(g: Graph, S: Sequence[int]) -> bool:
     return all(any(u in members for u in g.adj[v]) for v in range(g.n))
 
 
-def brute_force_min_tds(g: Graph, cap: int = DEFAULT_MP_CAP) -> int:
+def brute_force_min_tds(g: Graph) -> int:
     """Exact minimum total dominating set size; errors on isolated vertices.
 
     A set totally dominates g iff it hits every open neighbourhood N(v).
     """
-    _check_cap(g.n, cap)
+    _check_cap(g.n, DEFAULT_MP_CAP)
     if any(not g.adj[v] for v in range(g.n)):
         raise ValueError("no total dominating set exists: isolated vertex")
-    return brute_force_min_hs(g.n, g.adj, cap)
+    return brute_force_min_hs(g.n, g.adj)
 
 
-def brute_force_min_hs(
-    universe_size: int, family: Sequence[Sequence[int]], cap: int = DEFAULT_MP_CAP
-) -> int:
+def brute_force_min_hs(universe_size: int, family: Sequence[Sequence[int]]) -> int:
     """Exact minimum hitting set size over subsets of 0..universe_size-1."""
-    if universe_size > cap:
-        raise ValueError(f"universe size {universe_size} exceeds cap {cap}")
+    if universe_size > DEFAULT_MP_CAP:
+        raise ValueError(f"universe size {universe_size} exceeds cap {DEFAULT_MP_CAP}")
     sets = [frozenset(s) for s in family]
     if any(not s for s in sets):
         raise ValueError("unhittable: family contains an empty set")

@@ -21,14 +21,14 @@ drops every set that cannot grow into a root set of that many members.
 Before it builds, the solve walks the multipackings in lexicographic order
 for at most ``PREFIX_BUDGET`` children; the walk answers when it reaches
 max(rad, 1) members, an upper bound on MP, or runs out of sets.  Otherwise
-the solve builds once, at a lower bound on MP that a greedy multipacking of
-the most eccentric vertices raises, and one above it when the walk already
-holds a set of that size (the proofs are in ``family_packings`` and
-``_solve_component``).  The witness pick is one pass over
-the survivors that skips sets above rad and sets that cannot beat the best so
-far, and calls ``fits_balls`` on the rest: the kernel already settled radius
-1, so it counts members only at radii 2..rad-1, in one radius-ordered tuple
-of maximal ball bitmasks that ``ball_masks`` reads off ``graph.ball_rows``.
+the solve builds once, at the floor max(|L| + 1, |G|) for the walk's best set
+L and a greedy multipacking G of the most eccentric vertices (the proofs are
+in ``family_packings`` and ``_solve_component``).  The witness pick is one
+pass over the survivors that skips sets above rad and sets that cannot beat
+the best so far, and calls ``fits_balls`` on the rest: the kernel already
+settled radius 1, so it counts members only at radii 2..rad-1, in one
+radius-ordered tuple of maximal ball bitmasks that ``ball_masks`` reads off
+``graph.ball_rows``.
 The walk tests each set the same way.  The oracle reads the same rows, but
 neither the walk nor ``fits_balls`` shares code with its DFS, so comparing
 the solvers with the oracle compares two independent checkers.
@@ -279,16 +279,13 @@ def _build(root: int, plan: tuple[int, dict[int, tuple], dict[int, int]],
             ends = ((m, near[(m & -m).bit_length() - 1] | near[m.bit_length() - 1])
                     for m in other if m)
             blocks = [(0, 0)] + [(m, block) for m, block in ends if not m & block]
-            if low <= lows[rest]:
-                out = [m1 | m2 for m1 in build(rest) for m2, block in blocks if not m1 & block]
-            else:
-                # sized[j]: the blocks of at least j vertices (blocks[0] is
-                # the empty one); fit[k]: those that lift k members to ``low``.
-                pairs = [(m, block) for m, block in blocks if m & (m - 1)]
-                sized = (blocks, blocks[1:], pairs, [])
-                fit = [sized[min(max(low - k, 0), 3)] for k in range(rest.bit_count() + 1)]
-                out = [m1 | m2 for m1 in build(rest) for m2, block in fit[m1.bit_count()]
-                       if not m1 & block]
+            # sized[j]: the blocks of at least j vertices (blocks[0] is the
+            # empty one); fit[k]: those that lift k members to ``low``.
+            pairs = [(m, block) for m, block in blocks if m & (m - 1)]
+            sized = (blocks, blocks[1:], pairs, [])
+            fit = [sized[min(max(low - k, 0), 3)] for k in range(rest.bit_count() + 1)]
+            out = [m1 | m2 for m1 in build(rest) for m2, block in fit[m1.bit_count()]
+                   if not m1 & block]
         else:
             bit, block = 1 << w, near[w]
             # The sets with w come first; building them before ``without``
@@ -344,8 +341,8 @@ class BallMasks(NamedTuple):
     """The balls of a connected graph that decide whether a set is a multipacking.
 
     Vertex sets are int bitmasks (bit v for vertex v).  ``rad`` is the
-    graph's radius and ``ecc[v]`` the eccentricity of v, so the diameter is
-    max(ecc).  ``near[u]`` is N_2[u] without u.
+    graph's radius and ``ecc[v]`` the eccentricity of v, the order of the
+    solve's greedy (``_greedy``).  ``near[u]`` is N_2[u] without u.
     ``maximal`` holds the (r, ball) pairs with 2 <= r < rad, in descending
     r, whose ball N_r[v] is inclusion-maximal among the balls of radius r.
     """
@@ -433,22 +430,15 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
       the pick's; if it runs out of sets within the budget, it has seen
       every multipacking, and its first set of the largest size is the
       pick's.
-    - Otherwise its best set L is a multipacking, and so is every third
-      vertex of a diametral path, a shortest path of diam + 1 vertices
-      (every multipacking of a shortest path is one of g), and so is the
-      greedy's set G (``_greedy``): it has no two members within distance
-      2 and at most top members, where ``fits_balls`` is exact.  So the
-      floor max(ceil((diam + 1) / 3), |L|, |G|) is at most MP, a build at
-      that floor keeps every set of size MP, and the pick returns the
-      (MP, witness) of the floor-0 list.
-    - The lift: when |L| equals the floor, the build runs at floor + 1
-      instead (floor + 1 <= top, since the walk stopped short of top).  If
-      some set of at least floor + 1 members fits, MP >= floor + 1, the
-      build keeps every set of size MP, and the pick is the floor-0 one as
-      above.  If none fits, the pick is 0 and MP = floor = |L|; the walk
-      visits multipackings in lexicographic order and keeps the first of
-      each new size, so L is the lexicographically smallest multipacking
-      of size MP, the floor-0 pick.
+    - Otherwise it builds once, at floor = max(|L| + 1, |G|) for its best
+      set L and the greedy's set G (``_greedy``), a multipacking, as it has
+      no two members within distance 2 and at most top members, where
+      ``fits_balls`` is exact.  If some set of at least floor members
+      fits, MP >= floor, the build keeps every set of size MP, and the
+      pick is the floor-0 one.  If none fits, the pick is 0; G, a fitting
+      set of the floor-0 list, rules out floor = |G|, so floor = |L| + 1
+      and MP = |L|.  The walk visits multipackings in lexicographic order
+      and keeps the first of each new size, so L is then the floor-0 pick.
     """
     h = max(bfs_distances(g, 0))
     a, b, c = 1, 1, 1  # c_{-2}, c_{-1}, c_0
@@ -461,23 +451,22 @@ def _solve_component(g: Graph, split: Split) -> tuple[int, tuple[int, ...], int]
     t = bfs_tree(g, 0)
     plan = _plan(t, split)
     top = max(balls.rad, 1)
-    # The walk: cur is the set of the members on path, v the next vertex to try.
-    left, path, cur, best, v = PREFIX_BUDGET, [], 0, 0, 0
-    while len(path) < top and (path or v < g.n):
+    # The walk: cur is the current set, v the next vertex to try.  Members
+    # are added in ascending order, so the last one is cur's highest bit.
+    left, cur, best, v = PREFIX_BUDGET, 0, 0, 0
+    while cur.bit_count() < top and (cur or v < g.n):
         if v == g.n:
-            v = path.pop()  # every set that starts with path is seen
+            v = cur.bit_length() - 1  # every set that starts with cur is seen
             cur ^= 1 << v
         elif not balls.near[v] & cur:
             if not left:
-                floor = max((max(balls.ecc) + 3) // 3, best.bit_count(), _greedy(balls, top))
-                lift = best.bit_count() == floor
-                best = _pick(balls, _build(t.alive, plan, balls.near, floor + lift)) or best
+                floor = max(best.bit_count() + 1, _greedy(balls, top))
+                best = _pick(balls, _build(t.alive, plan, balls.near, floor)) or best
                 break
             left -= 1
             if fits_balls(balls, cur | 1 << v):
                 cur |= 1 << v
-                path.append(v)
-                if len(path) > best.bit_count():
+                if cur.bit_count() > best.bit_count():
                     best = cur
         v += 1
     return best.bit_count(), tuple(members(best)), plan[0]
@@ -488,22 +477,21 @@ def _greedy(balls: BallMasks, top: int) -> int:
     descending eccentricity, ties by id, each kept if it is not near a kept
     one and ``fits_balls`` accepts the set with it.  ``fits_balls`` is exact
     only up to top = max(rad, 1) members, so the greedy stops there."""
-    cur = size = 0
+    cur = 0
     for v in sorted(range(len(balls.ecc)), key=lambda v: -balls.ecc[v]):
-        if size == top:
+        if cur.bit_count() == top:
             break
         if not balls.near[v] & cur and fits_balls(balls, cur | 1 << v):
             cur |= 1 << v
-            size += 1
-    return size
+    return cur.bit_count()
 
 
 def _pick(balls: BallMasks, packings: list[int]) -> int:
     """The largest set of ``packings`` that fits ``balls``, the
     lexicographically smallest member tuple among equals; 0 if none fits,
-    which the solve's lifted build reads as "MP is the floor".  ``packings``
-    holds the kernel's sets, with no two members within distance 2, and a
-    set above top = max(rad, 1) cannot fit."""
+    which the solve reads as "MP is the size of the walk's best set".
+    ``packings`` holds the kernel's sets, with no two members within
+    distance 2, and a set above top = max(rad, 1) cannot fit."""
     top = max(balls.rad, 1)
     size = best = 0
     for m in packings:

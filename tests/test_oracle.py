@@ -16,6 +16,7 @@ from multipacking.graph import (
     members,
 )
 from multipacking.oracle import (
+    DEFAULT_MP_CAP,
     _search,
     brute_force_gamma_b,
     brute_force_min_hs,
@@ -342,6 +343,18 @@ def test_total_domination():
 def test_min_tds_of_the_empty_graph_is_zero():
     """The empty set total-dominates a graph with no vertices."""
     assert brute_force_min_tds(Graph.from_edges(0, [])) == 0
+
+
+def test_min_tds_and_min_hs_refuse_inputs_above_the_cap():
+    """Both searches admit DEFAULT_MP_CAP vertices and refuse one more, each
+    with its own message, before any search runs."""
+    n = DEFAULT_MP_CAP
+    assert brute_force_min_tds(complete(n)) == 2
+    assert brute_force_min_hs(n, []) == 0
+    with pytest.raises(ValueError, match=f"^n={n + 1} exceeds cap {n}$"):
+        brute_force_min_tds(complete(n + 1))
+    with pytest.raises(ValueError, match=f"^universe size {n + 1} exceeds cap {n}$"):
+        brute_force_min_hs(n + 1, [])
 
 
 def test_brute_force_mp_keeps_only_the_best_set():

@@ -428,9 +428,11 @@ def _scan_solve(g: Graph, split) -> tuple[int, tuple[int, ...], int]:
 def test_pick_equals_the_definitional_scan(monkeypatch):
     """The solve equals the scan at every prefix budget, where budgets 2, 5
     and 10 stop the walk after it has found some sets.  Every build floor is
-    at most MP + 1, and some build runs at MP + 1: a walk that holds a set of
-    the floor's size builds one above it and answers with that set when no
-    larger one fits."""
+    at most MP + 1, and some build runs at MP + 1: the floor max(|L| + 1, |G|)
+    is one above the walk's best set L when L is at least the greedy's, and
+    the solve answers with L when no larger set fits.  Every floor is also at
+    least ceil((diam + 1) / 3), the size of every third vertex of a diametral
+    path, a lower bound on MP that the solve meets without computing it."""
     rng = random.Random(83)
     graphs = [random_tree(rng.randint(16, 24), rng) for _ in range(12)]
     graphs += [random_connected_graph(rng.randint(2, 20), rng, rng.choice((0.3, 0.05, 0.1))) for _ in range(40)]
@@ -448,13 +450,14 @@ def test_pick_equals_the_definitional_scan(monkeypatch):
     monkeypatch.setattr(solver_module, "_build", lambda *args: floors.append(args[3]) or build(*args))
     lifted = 0
     for g in graphs + low:
+        diam_floor = (max(ball_masks(g).ecc) + 3) // 3
         for algo, split in (("a158", split_158), ("a162", split_162)):
             expected = _scan_solve(g, split)
             for budget in BUDGETS + (2, 5, 10):
                 monkeypatch.setattr(solver_module, "PREFIX_BUDGET", budget)
                 floors.clear()
                 assert solve_detailed(g, algo) == expected, (budget, algo, g.adj)
-                assert all(f <= expected[0] + 1 for f in floors), (floors, budget, algo, g.adj)
+                assert all(diam_floor <= f <= expected[0] + 1 for f in floors), (floors, budget, algo, g.adj)
                 lifted += expected[0] + 1 in floors
     assert lifted
 
@@ -511,8 +514,8 @@ def test_family_budget_bounds_the_pruned_lists_not_the_count(monkeypatch):
     of 129 admits the solve; 128 refuses it by the shortest-path bound. The
     12-leaf star keeps its whole family of 14 sets in one list at floor 0.
     The prefix search answers the star at its first set, so it is turned
-    off: the solve then builds at floor ceil((diam + 1) / 3) = 1, which
-    drops the empty set, so a budget of 13 admits it and 12 refuses it at
+    off: the solve then builds at floor max(|L| + 1, |G|) = max(0 + 1, 1) = 1,
+    which drops the empty set, so a budget of 13 admits it and 12 refuses it at
     that list."""
     g = path(12)
     t = bfs_tree(g, 0)
